@@ -329,14 +329,6 @@ struct EngineCore {
                                   : WindowEmpty(*tree, c, q, exclude);
   }
 
-  /// Window hit set Λ(c, q) as ascending product ids (packed dispatch).
-  std::vector<RStarTree::Id> ProductWindowHits(
-      const Point& c, const Point& q,
-      std::optional<RStarTree::Id> exclude) const {
-    return packed_tree != nullptr ? WindowQuery(*packed_tree, c, q, exclude)
-                                  : WindowQuery(*tree, c, q, exclude);
-  }
-
   /// Window skyline of (c, q) in `origin`'s distance space, ascending ids.
   std::vector<RStarTree::Id> ProductWindowFrontier(
       const Point& c, const Point& q, const Point& origin,
@@ -850,11 +842,6 @@ bool EngineSnapshot::ProbeWindowEmpty(
     const Point& c, const Point& q,
     std::optional<RStarTree::Id> exclude) const {
   return core_->ProductWindowEmpty(c, q, exclude);
-}
-std::vector<RStarTree::Id> EngineSnapshot::ProbeWindowHits(
-    const Point& c, const Point& q,
-    std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductWindowHits(c, q, exclude);
 }
 std::vector<RStarTree::Id> EngineSnapshot::ProbeWindowFrontier(
     const Point& c, const Point& q, const Point& origin,

@@ -163,17 +163,14 @@ class EngineSnapshot {
   std::optional<Point> NudgeToStrictMember(const Point& c_star, const Point& q,
                                            size_t customer_index) const;
 
-  /// Low-level shard probes (src/shard): each dispatches packed-vs-dynamic
-  /// exactly like the corresponding full-query call site, and each returns
-  /// a canonical ordering (ascending ids for window hits and frontiers),
-  /// so a sharded union of per-shard results merges bit-identically to a
-  /// single-index run. `exclude` is the raw tree id to skip (the sharded
-  /// caller maps the customer's own tuple to its shard-local id).
+  /// Per-layer probes: the index primitives the query algorithms are
+  /// built from, exposed so each layer can be timed and tested on its
+  /// own. Each dispatches packed-vs-dynamic exactly like the
+  /// corresponding full-query call site and returns a canonical ordering
+  /// (ascending ids for window frontiers). `exclude` is the raw tree id
+  /// to skip (a customer's own tuple under a shared relation).
   bool ProbeWindowEmpty(const Point& c, const Point& q,
                         std::optional<RStarTree::Id> exclude) const;
-  std::vector<RStarTree::Id> ProbeWindowHits(
-      const Point& c, const Point& q,
-      std::optional<RStarTree::Id> exclude) const;
   std::vector<RStarTree::Id> ProbeWindowFrontier(
       const Point& c, const Point& q, const Point& origin,
       std::optional<RStarTree::Id> exclude) const;
@@ -181,9 +178,7 @@ class EngineSnapshot {
       const Point& c, std::optional<RStarTree::Id> exclude) const;
   /// BBRS candidate generation only — the global (quadrant-aware) skyline
   /// of this snapshot's products w.r.t. `q`, without the per-candidate
-  /// window verification. A sharded coordinator merges these across
-  /// shards (the global skyline of a union is the dominance filter of the
-  /// per-part global skylines) and verifies each survivor exactly once.
+  /// window verification.
   std::vector<RStarTree::Id> ProbeGlobalSkylineCandidates(
       const Point& q, std::optional<RStarTree::Id> exclude) const;
 

@@ -1,7 +1,5 @@
 #include "core/explain.h"
 
-#include <utility>
-
 #include "common/logging.h"
 #include "geometry/dominance.h"
 #include "geometry/transform.h"
@@ -14,15 +12,8 @@ WhyNotExplanation ExplainWhyNot(const RStarTree& tree,
                                 const std::vector<Point>& products,
                                 const Point& c_t, const Point& q,
                                 std::optional<RStarTree::Id> exclude_id) {
-  return ExplainWhyNotFromCulprits(
-      products, WindowQuery(tree, c_t, q, exclude_id), q);
-}
-
-WhyNotExplanation ExplainWhyNotFromCulprits(
-    const std::vector<Point>& products, std::vector<RStarTree::Id> culprits,
-    const Point& q) {
   WhyNotExplanation out;
-  out.culprits = std::move(culprits);
+  out.culprits = WindowQuery(tree, c_t, q, exclude_id);
   if (out.culprits.empty()) {
     out.already_member = true;
     return out;

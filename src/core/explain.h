@@ -28,13 +28,6 @@ WhyNotExplanation ExplainWhyNot(
     const Point& c_t, const Point& q,
     std::optional<RStarTree::Id> exclude_id = std::nullopt);
 
-/// Index-free tail of ExplainWhyNot: takes the culprit set Λ already
-/// materialized (any provider — a tree window query, or a sharded union
-/// of per-shard window queries) and derives the frontier identically.
-WhyNotExplanation ExplainWhyNotFromCulprits(
-    const std::vector<Point>& products, std::vector<RStarTree::Id> culprits,
-    const Point& q);
-
 }  // namespace wnrs
 
 #endif  // WNRS_CORE_EXPLAIN_H_

@@ -71,14 +71,14 @@ void FinishMqp(const Point& c_t, const Point& q,
 
 }  // namespace
 
-MqpResult ModifyQueryPointFromCulprits(const std::vector<Point>& products,
-                                       std::vector<RStarTree::Id> culprits,
-                                       const Point& c_t, const Point& q,
-                                       const CostModel& cost_model,
-                                       size_t sort_dim) {
+MqpResult ModifyQueryPoint(const RStarTree& tree,
+                           const std::vector<Point>& products,
+                           const Point& c_t, const Point& q,
+                           const CostModel& cost_model, size_t sort_dim,
+                           std::optional<RStarTree::Id> exclude_id) {
   WNRS_CHECK(c_t.dims() == q.dims());
   MqpResult out;
-  out.culprits = std::move(culprits);
+  out.culprits = WindowQuery(tree, c_t, q, exclude_id);
   if (out.culprits.empty()) {
     out.already_member = true;
     out.candidates.push_back({q, 0.0});
@@ -103,13 +103,14 @@ MqpResult ModifyQueryPointFromCulprits(const std::vector<Point>& products,
   return out;
 }
 
-MqpResult ModifyQueryPointFromFrontier(
-    const std::vector<Point>& products,
-    std::vector<RStarTree::Id> frontier_ids, const Point& c_t, const Point& q,
-    const CostModel& cost_model, size_t sort_dim) {
+MqpResult ModifyQueryPointFast(const RStarTree& tree,
+                               const std::vector<Point>& products,
+                               const Point& c_t, const Point& q,
+                               const CostModel& cost_model, size_t sort_dim,
+                               std::optional<RStarTree::Id> exclude_id) {
   WNRS_CHECK(c_t.dims() == q.dims());
   MqpResult out;
-  out.culprits = std::move(frontier_ids);
+  out.culprits = WindowSkyline(tree, c_t, q, /*origin=*/c_t, exclude_id);
   if (out.culprits.empty()) {
     out.already_member = true;
     out.candidates.push_back({q, 0.0});
@@ -124,28 +125,6 @@ MqpResult ModifyQueryPointFromFrontier(
   }
   FinishMqp(c_t, q, frontier_t, cost_model, sort_dim, &out);
   return out;
-}
-
-MqpResult ModifyQueryPoint(const RStarTree& tree,
-                           const std::vector<Point>& products,
-                           const Point& c_t, const Point& q,
-                           const CostModel& cost_model, size_t sort_dim,
-                           std::optional<RStarTree::Id> exclude_id) {
-  WNRS_CHECK(c_t.dims() == q.dims());
-  return ModifyQueryPointFromCulprits(
-      products, WindowQuery(tree, c_t, q, exclude_id), c_t, q, cost_model,
-      sort_dim);
-}
-
-MqpResult ModifyQueryPointFast(const RStarTree& tree,
-                               const std::vector<Point>& products,
-                               const Point& c_t, const Point& q,
-                               const CostModel& cost_model, size_t sort_dim,
-                               std::optional<RStarTree::Id> exclude_id) {
-  WNRS_CHECK(c_t.dims() == q.dims());
-  return ModifyQueryPointFromFrontier(
-      products, WindowSkyline(tree, c_t, q, /*origin=*/c_t, exclude_id), c_t,
-      q, cost_model, sort_dim);
 }
 
 }  // namespace wnrs

@@ -48,24 +48,6 @@ MqpResult ModifyQueryPointFast(
     size_t sort_dim = 0,
     std::optional<RStarTree::Id> exclude_id = std::nullopt);
 
-/// Index-free tail of ModifyQueryPoint: takes the culprit set Λ already
-/// materialized (any provider — a tree window query, or a sharded union of
-/// per-shard window queries) and runs the identical frontier extraction,
-/// staircase generation and costing.
-MqpResult ModifyQueryPointFromCulprits(
-    const std::vector<Point>& products, std::vector<RStarTree::Id> culprits,
-    const Point& c_t, const Point& q, const CostModel& cost_model,
-    size_t sort_dim = 0);
-
-/// Index-free tail of ModifyQueryPointFast: `frontier_ids` must be the
-/// window skyline of (c_t, q) in c_t's distance space (what WindowSkyline
-/// with origin c_t returns — or a dominance-filtered union of per-shard
-/// window skylines).
-MqpResult ModifyQueryPointFromFrontier(
-    const std::vector<Point>& products,
-    std::vector<RStarTree::Id> frontier_ids, const Point& c_t, const Point& q,
-    const CostModel& cost_model, size_t sort_dim = 0);
-
 }  // namespace wnrs
 
 #endif  // WNRS_CORE_MQP_H_

@@ -96,14 +96,14 @@ void FinishMwp(const Point& c_t, const Point& q,
 
 }  // namespace
 
-MwpResult ModifyWhyNotPointFromCulprits(const std::vector<Point>& products,
-                                        std::vector<RStarTree::Id> culprits,
-                                        const Point& c_t, const Point& q,
-                                        const CostModel& cost_model,
-                                        size_t sort_dim) {
+MwpResult ModifyWhyNotPoint(const RStarTree& tree,
+                            const std::vector<Point>& products,
+                            const Point& c_t, const Point& q,
+                            const CostModel& cost_model, size_t sort_dim,
+                            std::optional<RStarTree::Id> exclude_id) {
   WNRS_CHECK(c_t.dims() == q.dims());
   MwpResult out;
-  out.culprits = std::move(culprits);
+  out.culprits = WindowQuery(tree, c_t, q, exclude_id);
   if (out.culprits.empty()) {
     out.already_member = true;
     out.candidates.push_back({c_t, 0.0});
@@ -129,13 +129,14 @@ MwpResult ModifyWhyNotPointFromCulprits(const std::vector<Point>& products,
   return out;
 }
 
-MwpResult ModifyWhyNotPointFromFrontier(
-    const std::vector<Point>& products,
-    std::vector<RStarTree::Id> frontier_ids, const Point& c_t, const Point& q,
-    const CostModel& cost_model, size_t sort_dim) {
+MwpResult ModifyWhyNotPointFast(const RStarTree& tree,
+                                const std::vector<Point>& products,
+                                const Point& c_t, const Point& q,
+                                const CostModel& cost_model, size_t sort_dim,
+                                std::optional<RStarTree::Id> exclude_id) {
   WNRS_CHECK(c_t.dims() == q.dims());
   MwpResult out;
-  out.culprits = std::move(frontier_ids);
+  out.culprits = WindowSkyline(tree, c_t, q, /*origin=*/q, exclude_id);
   if (out.culprits.empty()) {
     out.already_member = true;
     out.candidates.push_back({c_t, 0.0});
@@ -149,28 +150,6 @@ MwpResult ModifyWhyNotPointFromFrontier(
   }
   FinishMwp(c_t, q, frontier, cost_model, sort_dim, &out);
   return out;
-}
-
-MwpResult ModifyWhyNotPoint(const RStarTree& tree,
-                            const std::vector<Point>& products,
-                            const Point& c_t, const Point& q,
-                            const CostModel& cost_model, size_t sort_dim,
-                            std::optional<RStarTree::Id> exclude_id) {
-  WNRS_CHECK(c_t.dims() == q.dims());
-  return ModifyWhyNotPointFromCulprits(
-      products, WindowQuery(tree, c_t, q, exclude_id), c_t, q, cost_model,
-      sort_dim);
-}
-
-MwpResult ModifyWhyNotPointFast(const RStarTree& tree,
-                                const std::vector<Point>& products,
-                                const Point& c_t, const Point& q,
-                                const CostModel& cost_model, size_t sort_dim,
-                                std::optional<RStarTree::Id> exclude_id) {
-  WNRS_CHECK(c_t.dims() == q.dims());
-  return ModifyWhyNotPointFromFrontier(
-      products, WindowSkyline(tree, c_t, q, /*origin=*/q, exclude_id), c_t, q,
-      cost_model, sort_dim);
 }
 
 }  // namespace wnrs

@@ -47,26 +47,6 @@ MwpResult ModifyWhyNotPointFast(
     size_t sort_dim = 0,
     std::optional<RStarTree::Id> exclude_id = std::nullopt);
 
-/// Index-free tail of ModifyWhyNotPoint: takes the culprit set Λ already
-/// materialized (any provider — a tree window query, or a sharded union of
-/// per-shard window queries) and runs the identical frontier extraction,
-/// staircase generation and costing. `culprits` must be the exact window
-/// hit set for (c_t, q); the caller owns ordering (ascending ids is the
-/// canonical form the tree-based variants produce).
-MwpResult ModifyWhyNotPointFromCulprits(
-    const std::vector<Point>& products, std::vector<RStarTree::Id> culprits,
-    const Point& c_t, const Point& q, const CostModel& cost_model,
-    size_t sort_dim = 0);
-
-/// Index-free tail of ModifyWhyNotPointFast: `frontier_ids` must be the
-/// window skyline of (c_t, q) in q's distance space (what WindowSkyline
-/// with origin q returns — or a dominance-filtered union of per-shard
-/// window skylines).
-MwpResult ModifyWhyNotPointFromFrontier(
-    const std::vector<Point>& products,
-    std::vector<RStarTree::Id> frontier_ids, const Point& c_t, const Point& q,
-    const CostModel& cost_model, size_t sort_dim = 0);
-
 }  // namespace wnrs
 
 #endif  // WNRS_CORE_MWP_H_

@@ -42,40 +42,17 @@ MwqResult ModifyQueryAndWhyNotPoint(
     const Rectangle& universe, const CostModel& cost_model, size_t sort_dim,
     std::optional<RStarTree::Id> exclude_id,
     const KeepsMembersFn& keeps_members, bool fast_frontier) {
-  MwqPrimitives primitives;
-  primitives.window_empty = [&](const Point& probe_q) {
-    return WindowEmpty(products_tree, c_t, probe_q, exclude_id);
-  };
-  primitives.dynamic_skyline = [&] {
-    return BbsDynamicSkyline(products_tree, c_t, exclude_id);
-  };
-  primitives.modify_why_not = [&](const Point& probe_q) {
-    return fast_frontier
-               ? ModifyWhyNotPointFast(products_tree, products, c_t, probe_q,
-                                       cost_model, sort_dim, exclude_id)
-               : ModifyWhyNotPoint(products_tree, products, c_t, probe_q,
-                                   cost_model, sort_dim, exclude_id);
-  };
-  return ModifyQueryAndWhyNotPoint(primitives, products, c_t, q, safe_region,
-                                   universe, cost_model, sort_dim,
-                                   keeps_members);
-}
-
-MwqResult ModifyQueryAndWhyNotPoint(
-    const MwqPrimitives& primitives, const std::vector<Point>& products,
-    const Point& c_t, const Point& q, const RectRegion& safe_region,
-    const Rectangle& universe, const CostModel& cost_model, size_t sort_dim,
-    const KeepsMembersFn& keeps_members) {
   WNRS_CHECK(c_t.dims() == q.dims());
   MwqResult out;
-  if (primitives.window_empty(q)) {
+  if (WindowEmpty(products_tree, c_t, q, exclude_id)) {
     out.already_member = true;
     out.query_candidates.push_back({q, 0.0});
     return out;
   }
 
   // DDR̄(c_t), rectangle representation.
-  const std::vector<RStarTree::Id> dsl = primitives.dynamic_skyline();
+  const std::vector<RStarTree::Id> dsl =
+      BbsDynamicSkyline(products_tree, c_t, exclude_id);
   std::vector<Point> dsl_t;
   dsl_t.reserve(dsl.size());
   for (RStarTree::Id id : dsl) {
@@ -102,7 +79,7 @@ MwqResult ModifyQueryAndWhyNotPoint(
       for (size_t i = 0; i < nearest.dims(); ++i) {
         inner[i] = nearest[i] + pull * (center[i] - nearest[i]);
       }
-      if (primitives.window_empty(inner) &&
+      if (WindowEmpty(products_tree, c_t, inner, exclude_id) &&
           (keeps_members == nullptr || keeps_members(inner))) {
         q_star = std::move(inner);
         found = true;
@@ -168,7 +145,12 @@ MwqResult ModifyQueryAndWhyNotPoint(
   std::vector<std::pair<size_t, double>> corner_best;  // corner -> best cost
   for (size_t idx : candidates_q) {
     const Point& e = corners[idx];
-    const MwpResult mwp = primitives.modify_why_not(e);
+    const MwpResult mwp =
+        fast_frontier
+            ? ModifyWhyNotPointFast(products_tree, products, c_t, e,
+                                    cost_model, sort_dim, exclude_id)
+            : ModifyWhyNotPoint(products_tree, products, c_t, e, cost_model,
+                                sort_dim, exclude_id);
     double corner_cost = std::numeric_limits<double>::infinity();
     for (const Candidate& cand : mwp.candidates) {
       corner_cost = std::min(corner_cost, cand.cost);

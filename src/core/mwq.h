@@ -38,23 +38,6 @@ struct MwqResult {
 /// reverse-skyline customer; nullptr skips the check.
 using KeepsMembersFn = std::function<bool(const Point& q_star)>;
 
-/// The three product-index probes Algorithm 4 performs, abstracted so any
-/// provider (one R*-tree, a packed slab, or a sharded union of engines)
-/// can drive the identical control flow. All probes are implicitly about
-/// the fixed why-not customer c_t passed alongside; only the query point
-/// varies.
-struct MwqPrimitives {
-  /// True iff the window W(c_t, probe_q) holds no product (own tuple
-  /// excluded by the provider).
-  std::function<bool(const Point& probe_q)> window_empty;
-  /// DSL(c_t) product ids (order immaterial: consumers re-sort; duplicate
-  /// skyline points must all be reported, matching BbsDynamicSkyline).
-  std::function<std::vector<RStarTree::Id>()> dynamic_skyline;
-  /// Full Algorithm-1 answer for (c_t, probe_q), honoring the provider's
-  /// fast-frontier choice.
-  std::function<MwpResult(const Point& probe_q)> modify_why_not;
-};
-
 /// Algorithm 4: answers the why-not question while provably keeping every
 /// existing reverse-skyline customer, by confining q to the safe region.
 /// `safe_region` must be SR(q) (from ComputeSafeRegion or its approximate
@@ -71,16 +54,6 @@ MwqResult ModifyQueryAndWhyNotPoint(
     std::optional<RStarTree::Id> exclude_id = std::nullopt,
     const KeepsMembersFn& keeps_members = nullptr,
     bool fast_frontier = true);
-
-/// Algorithm 4 over injected index primitives instead of a concrete tree
-/// — the sharded engine routes each probe across its tiles and merges,
-/// and this overload guarantees the surrounding control flow (case split,
-/// corner generation, costing) is shared, hence bit-identical.
-MwqResult ModifyQueryAndWhyNotPoint(
-    const MwqPrimitives& primitives, const std::vector<Point>& products,
-    const Point& c_t, const Point& q, const RectRegion& safe_region,
-    const Rectangle& universe, const CostModel& cost_model,
-    size_t sort_dim = 0, const KeepsMembersFn& keeps_members = nullptr);
 
 }  // namespace wnrs
 

@@ -64,28 +64,14 @@ SafeRegionResult ComputeSafeRegion(const RStarTree& products_tree,
                                    const Point& q, const Rectangle& universe,
                                    bool shared_relation,
                                    const SafeRegionOptions& options) {
-  return ComputeSafeRegionWithDsls(
-      products, customers, rsl, q, universe,
-      [&](size_t customer) {
-        std::optional<RStarTree::Id> exclude;
-        if (shared_relation) exclude = static_cast<RStarTree::Id>(customer);
-        return BbsDynamicSkyline(products_tree, customers[customer], exclude);
-      },
-      options);
-}
-
-SafeRegionResult ComputeSafeRegionWithDsls(const std::vector<Point>& products,
-                                           const std::vector<Point>& customers,
-                                           const std::vector<size_t>& rsl,
-                                           const Point& q,
-                                           const Rectangle& universe,
-                                           const DslProviderFn& dsl_for,
-                                           const SafeRegionOptions& options) {
   WNRS_CHECK(q.dims() == universe.dims());
   return IntersectRegions(rsl, universe, options, [&](size_t customer) {
     WNRS_CHECK(customer < customers.size());
     const Point& c = customers[customer];
-    const std::vector<RStarTree::Id> dsl = dsl_for(customer);
+    std::optional<RStarTree::Id> exclude;
+    if (shared_relation) exclude = static_cast<RStarTree::Id>(customer);
+    const std::vector<RStarTree::Id> dsl =
+        BbsDynamicSkyline(products_tree, c, exclude);
     std::vector<Point> dsl_t;
     dsl_t.reserve(dsl.size());
     for (RStarTree::Id id : dsl) {

@@ -1,7 +1,6 @@
 #ifndef WNRS_CORE_SAFE_REGION_H_
 #define WNRS_CORE_SAFE_REGION_H_
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -47,22 +46,6 @@ SafeRegionResult ComputeSafeRegion(const RStarTree& products_tree,
                                    const Point& q, const Rectangle& universe,
                                    bool shared_relation,
                                    const SafeRegionOptions& options = {});
-
-/// Produces DSL(customer) product ids for a customer index. Order is
-/// immaterial (the anti-dominance staircase re-sorts) but duplicate
-/// skyline points must all be reported, matching BbsDynamicSkyline.
-using DslProviderFn =
-    std::function<std::vector<RStarTree::Id>(size_t customer)>;
-
-/// ComputeSafeRegion with the per-customer dynamic skylines supplied by
-/// `dsl_for` instead of a BBS traversal of one concrete tree — the seam a
-/// sharded engine plugs its cross-tile DSL merge into. The intersection
-/// loop, staircase construction, truncation and metrics are shared with
-/// the tree-based form, so identical DSLs give identical regions.
-SafeRegionResult ComputeSafeRegionWithDsls(
-    const std::vector<Point>& products, const std::vector<Point>& customers,
-    const std::vector<size_t>& rsl, const Point& q, const Rectangle& universe,
-    const DslProviderFn& dsl_for, const SafeRegionOptions& options = {});
 
 /// Approximated safe region from precomputed sampled dynamic skylines
 /// (paper, Section VI-B.1): `approx_dsls[i]` holds the sampled transformed

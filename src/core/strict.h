@@ -13,17 +13,17 @@
 namespace wnrs {
 
 /// Window-emptiness probe with the relevant customer's own-tuple
-/// exclusion already bound by the provider: returns true iff W(c, q)
-/// holds no (other) product. Implemented by one engine core over its
-/// product index, or by a sharded engine as the conjunction over tiles.
+/// exclusion already bound by the caller: returns true iff W(c, q)
+/// holds no (other) product. The engine core binds it to its product
+/// index (packed or dynamic).
 using StrictWindowEmptyFn =
     std::function<bool(const Point& c, const Point& q)>;
 
 /// Shared Semantics::kStrict machinery (see engine.h): the paper's
 /// algorithms return closed-boundary answers that tie with a culprit;
 /// these helpers nudge them into strict reverse-skyline membership. They
-/// live here, parameterized on the window probe, so every execution
-/// backend applies the identical nudge schedule and cost recomputation.
+/// take the window probe as a parameter, so the nudge schedule and cost
+/// recomputation stay independent of which index answers the probe.
 
 /// Moves `c_star` epsilon toward q per dimension (epsilon =
 /// epsilon_fraction of each dimension's universe range, growing 100x per

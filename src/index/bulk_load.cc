@@ -150,78 +150,4 @@ RStarTree BulkLoadPoints(size_t dims, const std::vector<Point>& points,
   return BulkLoadStr(dims, std::move(entries), options);
 }
 
-namespace {
-
-/// Recursive STR sweep over index spans: sorts [begin, end) of `order` by
-/// the current dimension, slices into slabs sized proportionally to each
-/// slab's tile budget, and recurses until the budget is one tile. The
-/// budget split (not a fixed page capacity) is what guarantees exactly
-/// `tiles` cuts with sizes within one of each other at every level.
-void StrTileRecursive(const std::vector<Point>& points,
-                      std::vector<size_t>& order, size_t begin, size_t end,
-                      size_t dim, size_t dims, size_t tiles,
-                      std::vector<std::vector<size_t>>* out) {
-  const size_t n = end - begin;
-  if (tiles <= 1) {
-    std::vector<size_t> tile(order.begin() + static_cast<ptrdiff_t>(begin),
-                             order.begin() + static_cast<ptrdiff_t>(end));
-    std::sort(tile.begin(), tile.end());
-    out->push_back(std::move(tile));
-    return;
-  }
-  std::sort(order.begin() + static_cast<ptrdiff_t>(begin),
-            order.begin() + static_cast<ptrdiff_t>(end),
-            [&points, dim](size_t a, size_t b) {
-              if (points[a][dim] != points[b][dim]) {
-                return points[a][dim] < points[b][dim];
-              }
-              if (points[a] != points[b]) return points[a] < points[b];
-              return a < b;
-            });
-  // Number of slabs along this dimension: tiles^(1/remaining_dims) as in
-  // node packing, except the last dimension cuts straight into tiles.
-  const size_t remaining_dims = dims - dim;
-  const size_t slabs =
-      remaining_dims <= 1
-          ? tiles
-          : std::min(tiles, static_cast<size_t>(std::ceil(std::pow(
-                                static_cast<double>(tiles),
-                                1.0 / static_cast<double>(remaining_dims)))));
-  // Distribute the tile budget over slabs (first `tiles % slabs` slabs get
-  // one extra), then cut the span proportionally to each slab's budget so
-  // every leaf tile ends up within one point of n / tiles.
-  size_t tile_offset = 0;
-  size_t point_offset = 0;
-  for (size_t s = 0; s < slabs; ++s) {
-    const size_t slab_tiles = tiles / slabs + (s < tiles % slabs ? 1 : 0);
-    const size_t next_tile_offset = tile_offset + slab_tiles;
-    // Proportional boundary: points assigned to tiles [0, next_tile_offset).
-    const size_t next_point_offset = n * next_tile_offset / tiles;
-    StrTileRecursive(points, order, begin + point_offset,
-                     begin + next_point_offset,
-                     std::min(dim + 1, dims - 1), dims, slab_tiles, out);
-    tile_offset = next_tile_offset;
-    point_offset = next_point_offset;
-  }
-}
-
-}  // namespace
-
-std::vector<std::vector<size_t>> StrTiles(size_t dims,
-                                          const std::vector<Point>& points,
-                                          size_t num_tiles) {
-  WNRS_CHECK(num_tiles >= 1);
-  std::vector<std::vector<size_t>> out;
-  if (points.empty()) return out;
-  const size_t tiles = std::min(num_tiles, points.size());
-  std::vector<size_t> order(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    WNRS_CHECK(points[i].dims() == dims);
-    order[i] = i;
-  }
-  out.reserve(tiles);
-  StrTileRecursive(points, order, 0, points.size(), 0, dims, tiles, &out);
-  return out;
-}
-
 }  // namespace wnrs

@@ -27,17 +27,6 @@ struct BulkEntry {
                                        const std::vector<Point>& points,
                                        RTreeOptions options = RTreeOptions());
 
-/// Partitions `points` into spatially coherent tiles with the same
-/// Sort-Tile-Recursive sweep the bulk loader packs nodes with: recursive
-/// center-coordinate slabs, one dimension per level. Returns exactly
-/// min(num_tiles, points.size()) non-empty tiles whose sizes differ by at
-/// most one; each tile lists ascending point indices and every index
-/// appears in exactly one tile. Deterministic: coordinate ties are broken
-/// lexicographically on the full point, then by index — so equal points
-/// split across a tile boundary in index order.
-[[nodiscard]] std::vector<std::vector<size_t>> StrTiles(
-    size_t dims, const std::vector<Point>& points, size_t num_tiles);
-
 }  // namespace wnrs
 
 #endif  // WNRS_INDEX_BULK_LOAD_H_

@@ -1,8 +1,7 @@
 #include "net/server.h"
 
-#include <sys/socket.h>
-
-#include <cerrno>
+#include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "net/socket_io.h"
@@ -12,6 +11,10 @@ namespace wnrs {
 namespace net {
 
 namespace {
+
+/// How long the acceptor waits before retrying accept() on a full
+/// descriptor table.
+constexpr std::chrono::milliseconds kAcceptRetryDelay{10};
 
 /// Best-effort request id of an undecodable request payload: the id is
 /// the first field, so it usually survives whatever corrupted the rest.
@@ -35,16 +38,6 @@ Result<std::unique_ptr<WnrsServer>> WnrsServer::Start(
   if (engine == nullptr) {
     return Status::InvalidArgument("WnrsServer needs an engine");
   }
-  return Start(std::make_shared<const serve::EngineBackend>(engine),
-               std::move(options));
-}
-
-Result<std::unique_ptr<WnrsServer>> WnrsServer::Start(
-    std::shared_ptr<const serve::QueryBackend> backend,
-    ServerOptions options) {
-  if (backend == nullptr) {
-    return Status::InvalidArgument("WnrsServer needs a backend");
-  }
   auto listen_fd =
       TcpListen(options.host, options.port, options.listen_backlog);
   if (!listen_fd.ok()) return listen_fd.status();
@@ -53,19 +46,18 @@ Result<std::unique_ptr<WnrsServer>> WnrsServer::Start(
     CloseFd(listen_fd.value());
     return port.status();
   }
-  return std::make_unique<WnrsServer>(PrivateTag{}, std::move(backend),
+  return std::make_unique<WnrsServer>(PrivateTag{}, engine,
                                       std::move(options), listen_fd.value(),
                                       port.value());
 }
 
-WnrsServer::WnrsServer(PrivateTag,
-                       std::shared_ptr<const serve::QueryBackend> backend,
+WnrsServer::WnrsServer(PrivateTag, const WhyNotEngine* engine,
                        ServerOptions options, int listen_fd, uint16_t port)
     : options_(std::move(options)),
       listen_fd_(listen_fd),
       port_(port),
       scheduler_(std::make_unique<serve::RequestScheduler>(
-          std::move(backend), options_.scheduler)) {
+          engine, options_.scheduler)) {
   acceptor_ = std::thread([this] { AcceptLoop(); });
 }
 
@@ -117,22 +109,55 @@ void WnrsServer::Stop() {
 
 void WnrsServer::AcceptLoop() {
   while (true) {
-    int fd;
-    do {
-      fd = ::accept(listen_fd_, nullptr, nullptr);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0) return;  // Stop() shut the listener down (or fatal error).
+    ReapFinished();
+    auto fd = TcpAccept(listen_fd_);
+    if (!fd.ok()) {
+      if (fd.status().code() != StatusCode::kResourceExhausted) {
+        return;  // Stop() shut the listener down (or fatal error).
+      }
+      // Out of descriptors: the connections just reaped (or those that
+      // finish meanwhile) free some; retry rather than stop serving.
+      {
+        MutexLock lock(mu_);
+        if (stopped_) return;
+      }
+      std::this_thread::sleep_for(kAcceptRetryDelay);
+      continue;
+    }
     MutexLock lock(mu_);
     if (stopped_) {
-      CloseFd(fd);
+      CloseFd(fd.value());
       return;
     }
     ++stats_.connections_accepted;
     connections_.emplace_back();
     Connection* conn = &connections_.back();
-    conn->fd = fd;
+    conn->fd = fd.value();
     conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
     conn->writer = std::thread([this, conn] { WriterLoop(conn); });
+  }
+}
+
+void WnrsServer::ReapFinished() {
+  // Claim finished connections under mu_, join outside it: a reader that
+  // is still winding down may take mu_ for its stats update.
+  std::list<Connection> finished;
+  {
+    MutexLock lock(mu_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      const auto next = std::next(it);
+      if (it->finished.load(std::memory_order_acquire)) {
+        finished.splice(finished.end(), connections_, it);
+      }
+      it = next;
+    }
+  }
+  for (Connection& conn : finished) {
+    // The writer only finishes after the reader is done or the socket is
+    // shut down both ways, so neither join can block for long.
+    conn.reader.join();
+    conn.writer.join();
+    CloseFd(conn.fd);
   }
 }
 
@@ -208,8 +233,10 @@ void WnrsServer::WriterLoop(Connection* conn) {
   }
   // The writer is the last user of the socket: once every pending
   // response is flushed (the reader having stopped on EOF or a framing
-  // error), close both directions so the peer sees EOF.
+  // error), close both directions so the peer sees EOF. That also ends a
+  // reader still parked in recv after a failed send.
   ShutdownFd(conn->fd);
+  conn->finished.store(true, std::memory_order_release);
 }
 
 }  // namespace net

@@ -1,6 +1,7 @@
 #ifndef WNRS_NET_SERVER_H_
 #define WNRS_NET_SERVER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -52,6 +53,12 @@ struct ServerStats {
 /// is free to reorder execution by priority across connections; clients
 /// may pipeline without limit and match responses by request_id.
 ///
+/// Finished connections are reaped by the acceptor before each accept:
+/// their threads are joined and their sockets closed, so a long-lived
+/// server holds descriptors and threads only for open connections. When
+/// the descriptor table is full (EMFILE/ENFILE) the acceptor reaps,
+/// backs off briefly, and retries — it stops accepting only on Stop().
+///
 /// A malformed frame answers with an InvalidArgument response frame when
 /// a request id could be salvaged (id 0 otherwise) and then closes the
 /// connection — after a framing error the byte stream can no longer be
@@ -66,18 +73,12 @@ class WnrsServer {
 
  public:
   /// Binds, listens, and starts the accept thread. The engine must
-  /// outlive the server. Convenience form of the backend overload below.
+  /// outlive the server.
   static Result<std::unique_ptr<WnrsServer>> Start(const WhyNotEngine* engine,
                                                    ServerOptions options = {});
 
-  /// Serves any QueryBackend (serve/backend.h): a single engine or the
-  /// sharded engine, over the identical wire protocol.
-  static Result<std::unique_ptr<WnrsServer>> Start(
-      std::shared_ptr<const serve::QueryBackend> backend,
-      ServerOptions options = {});
-
-  WnrsServer(PrivateTag, std::shared_ptr<const serve::QueryBackend> backend,
-             ServerOptions options, int listen_fd, uint16_t port);
+  WnrsServer(PrivateTag, const WhyNotEngine* engine, ServerOptions options,
+             int listen_fd, uint16_t port);
 
   ~WnrsServer();
 
@@ -110,9 +111,15 @@ class WnrsServer {
     std::deque<std::pair<uint64_t, std::future<serve::WhyNotResponse>>>
         inflight WNRS_GUARDED_BY(mu);
     bool reader_done WNRS_GUARDED_BY(mu) = false;
+    /// Set by the writer as its last touch of the connection; the
+    /// acceptor may then join both threads and close the fd.
+    std::atomic<bool> finished{false};
   };
 
   void AcceptLoop();
+  /// Joins, closes and erases every finished connection. Called only by
+  /// the acceptor, which Stop() joins before claiming the remainder.
+  void ReapFinished();
   void ReaderLoop(Connection* conn);
   void WriterLoop(Connection* conn);
 

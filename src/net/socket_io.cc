@@ -88,6 +88,22 @@ Result<int> TcpConnect(const std::string& host, uint16_t port) {
   return fd;
 }
 
+Result<int> TcpAccept(int listen_fd) {
+  int fd;
+  do {
+    fd = ::accept(listen_fd, nullptr, nullptr);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) {
+    if (errno == EMFILE || errno == ENFILE) {
+      return Status::ResourceExhausted(Errno("accept").message());
+    }
+    return Errno("accept");
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
 Status SendAll(int fd, std::string_view data) {
   size_t sent = 0;
   while (sent < data.size()) {

@@ -24,8 +24,16 @@ Result<int> TcpListen(const std::string& host, uint16_t port, int backlog);
 /// The locally bound port of a socket fd.
 Result<uint16_t> LocalPort(int fd);
 
-/// Connects to host:port; returns the fd.
+/// Connects to host:port; returns the fd with TCP_NODELAY set.
 Result<int> TcpConnect(const std::string& host, uint16_t port);
+
+/// Accepts one connection on a listening socket; returns the fd with
+/// TCP_NODELAY set, so a response frame leaves as soon as it is written
+/// instead of waiting for the peer's delayed ACK (Nagle). A full file
+/// descriptor table (EMFILE/ENFILE) fails with ResourceExhausted — a
+/// transient condition the caller may retry — and every other error with
+/// IoError.
+Result<int> TcpAccept(int listen_fd);
 
 /// Writes all of `data`, looping over partial sends. SIGPIPE is
 /// suppressed (MSG_NOSIGNAL); a closed peer surfaces as IoError.

@@ -42,7 +42,8 @@ std::vector<RStarTree::Id> WindowQuery(
                         return true;
                       });
   // Traversal order depends on tree shape; ascending ids make the hit
-  // list canonical so sharded unions can merge bit-identically.
+  // list canonical, so the packed and dynamic trees (and any two trees
+  // over the same products) return bit-identical lists.
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 
@@ -29,14 +30,8 @@ WhyNotResponse UnavailableResponse(RequestKind kind, const char* message) {
 
 RequestScheduler::RequestScheduler(const WhyNotEngine* engine,
                                    SchedulerOptions options)
-    : RequestScheduler(std::make_shared<const EngineBackend>(engine),
-                       options) {}
-
-RequestScheduler::RequestScheduler(
-    std::shared_ptr<const QueryBackend> backend, SchedulerOptions options)
-    : backend_(std::move(backend)),
-      options_(options),
-      paused_(options.start_paused) {
+    : engine_(engine), options_(options), paused_(options.start_paused) {
+  WNRS_CHECK(engine_ != nullptr);
   dispatcher_ = std::thread(&RequestScheduler::DispatcherLoop, this);
 }
 
@@ -181,7 +176,7 @@ void RequestScheduler::DispatcherLoop() {
 }
 
 WhyNotResponse RequestScheduler::ExecuteOne(
-    const QuerySnapshot& snapshot, const WhyNotRequest& request) const {
+    const EngineSnapshot& snapshot, const WhyNotRequest& request) const {
   WhyNotResponse response;
   response.kind = request.kind;
   switch (request.kind) {
@@ -269,9 +264,9 @@ void RequestScheduler::ExecuteBatch(std::vector<Pending> batch) {
   }
 
   // One snapshot for the whole batch: every request is answered against
-  // the same immutable backend state, and the batch keeps it pinned even
+  // the same immutable engine state, and the batch keeps it pinned even
   // if a mutation publishes a newer one mid-flight.
-  const std::shared_ptr<const QuerySnapshot> snapshot = backend_->Snapshot();
+  const EngineSnapshot snapshot = engine_->Snapshot();
 
   struct Slot {
     Pending pending;
@@ -325,7 +320,7 @@ void RequestScheduler::ExecuteBatch(std::vector<Pending> batch) {
       std::vector<size_t> whos;
       whos.reserve(group.size());
       for (size_t i : group) whos.push_back(slots[i].pending.request.c);
-      Result<std::vector<MwqResult>> res = snapshot->TryModifyBothBatch(
+      Result<std::vector<MwqResult>> res = snapshot.TryModifyBothBatch(
           whos, slots[group.front()].pending.request.q, use_approx,
           semantics);
       if (!res.ok()) continue;  // Some input invalid: fall through to
@@ -342,7 +337,7 @@ void RequestScheduler::ExecuteBatch(std::vector<Pending> batch) {
 
   for (Slot& slot : slots) {
     if (!slot.done) {
-      WhyNotResponse computed = ExecuteOne(*snapshot, slot.pending.request);
+      WhyNotResponse computed = ExecuteOne(snapshot, slot.pending.request);
       computed.shared_batch = slot.response.shared_batch;
       computed.queue_wait = slot.response.queue_wait;
       slot.response = std::move(computed);

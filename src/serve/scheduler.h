@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "serve/api.h"
-#include "serve/backend.h"
 
 namespace wnrs {
 namespace serve {
@@ -40,18 +39,17 @@ struct SchedulerStats {
   uint64_t completed = 0;         ///< Responses delivered with a payload.
 };
 
-/// Deadline-aware request scheduler over one QueryBackend — a single
-/// WhyNotEngine or the sharded engine, both behind the same listener. The
+/// Deadline-aware request scheduler over one WhyNotEngine. The
 /// request/response types live in serve/api.h (they are shared with the
 /// wire protocol in src/net/).
 ///
 /// A single dispatcher thread drains a priority+FIFO queue. Each dispatch
-/// takes the backend snapshot current at that moment, pulls every queued
+/// takes the engine snapshot current at that moment, pulls every queued
 /// request with the same query point q (up to max_batch), and answers
 /// them against that one snapshot — the safe region and reverse skyline
 /// of q are computed once and shared across the batch through the
 /// snapshot's synchronized caches, and same-semantics MWQ runs fan out on
-/// the backend's existing ThreadPool (no second pool). Backend mutations
+/// the engine's existing ThreadPool (no second pool). Engine mutations
 /// interleave freely: a batch in flight keeps its snapshot while the next
 /// dispatch observes the new one.
 ///
@@ -64,15 +62,8 @@ struct SchedulerStats {
 class RequestScheduler {
  public:
   /// The engine must outlive the scheduler (the scheduler pins snapshots,
-  /// not the engine itself). Convenience form of the backend constructor
-  /// below, wrapping the engine in an EngineBackend.
+  /// not the engine itself).
   explicit RequestScheduler(const WhyNotEngine* engine,
-                            SchedulerOptions options = {});
-
-  /// Schedules onto any QueryBackend (serve/backend.h) — the seam the
-  /// sharded engine plugs into. The backend must stay valid for the
-  /// scheduler's lifetime.
-  explicit RequestScheduler(std::shared_ptr<const QueryBackend> backend,
                             SchedulerOptions options = {});
 
   ~RequestScheduler();
@@ -122,10 +113,10 @@ class RequestScheduler {
   void DispatcherLoop();
   void ExecuteBatch(std::vector<Pending> batch);
   /// Runs one validated request against the shared snapshot.
-  WhyNotResponse ExecuteOne(const QuerySnapshot& snapshot,
+  WhyNotResponse ExecuteOne(const EngineSnapshot& snapshot,
                             const WhyNotRequest& request) const;
 
-  const std::shared_ptr<const QueryBackend> backend_;
+  const WhyNotEngine* const engine_;
   const SchedulerOptions options_;
 
   mutable Mutex mu_;

@@ -3,15 +3,24 @@
 // seven request kinds, scheduler statuses (deadline miss, admission
 // reject, shutdown) must map onto wire responses, pipelining must answer
 // in order, and malformed frames must produce an error response followed
-// by a clean close — never a crash.
+// by a clean close — never a crash. A server must keep answering when
+// clients come and go under a tight descriptor limit.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -54,6 +63,66 @@ void AwaitOrFail(Pred pred, const char* what) {
     ASSERT_LT(std::chrono::steady_clock::now(), give_up) << what;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+}
+
+/// Descriptors this process has open (the directory handle itself
+/// included, so the count is one high).
+size_t OpenFdCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Lowers RLIMIT_NOFILE's soft limit for the guard's lifetime.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    ok_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+    if (!ok_) return;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = soft <= saved_.rlim_max && ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() {
+    if (ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+/// One connect → Call → close round, bounded in time. A server that has
+/// stopped accepting leaves the connection parked in the listen backlog
+/// and the Call blocked; on timeout Stop() closes the listener, which
+/// resets the parked connection, so the test fails instead of hanging.
+Status CallWithin(WnrsServer* server, const WhyNotRequest& request,
+                  std::chrono::seconds limit) {
+  std::promise<Status> done;
+  std::future<Status> result = done.get_future();
+  std::thread round([&] {
+    auto client = WnrsClient::Connect("127.0.0.1", server->port());
+    if (!client.ok()) {
+      done.set_value(client.status());
+      return;
+    }
+    auto r = client.value()->Call(request);
+    done.set_value(r.ok() ? r.value().status : r.status());
+  });
+  if (result.wait_for(limit) != std::future_status::ready) {
+    server->Stop();
+    round.join();
+    return Status::DeadlineExceeded("no answer: the server stopped accepting");
+  }
+  round.join();
+  return result.get();
 }
 
 void ExpectCandidatesEqual(const std::vector<Candidate>& a,
@@ -128,6 +197,10 @@ TEST(NetServerTest, LoopbackAnswersMatchDirectEngineForAllKinds) {
   ExpectCandidatesEqual(r.value().mwq().query_candidates,
                         approx.query_candidates);
 
+  // The writer counts a response once send() returns, which may be just
+  // after the client has read it.
+  AwaitOrFail([&] { return server.value()->stats().responses_sent >= 7u; },
+              "writer counts the last response");
   const ServerStats stats = server.value()->stats();
   EXPECT_EQ(stats.connections_accepted, 1u);
   EXPECT_EQ(stats.frames_received, 7u);
@@ -406,8 +479,108 @@ TEST(NetServerTest, MultipleConnectionsServeConcurrently) {
     });
   }
   for (auto& t : threads) t.join();
+  AwaitOrFail(
+      [&] { return server.value()->stats().responses_sent >= kClients * 5; },
+      "writers count the last responses");
   EXPECT_EQ(server.value()->stats().connections_accepted, kClients);
   EXPECT_EQ(server.value()->stats().responses_sent, kClients * 5);
+}
+
+TEST(NetServerTest, AcceptedSocketsDisableNagle) {
+  auto listener = TcpListen("127.0.0.1", 0, 4);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto port = LocalPort(listener.value());
+  ASSERT_TRUE(port.ok());
+  auto client = TcpConnect("127.0.0.1", port.value());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto accepted = TcpAccept(listener.value());
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted.value(), IPPROTO_TCP, TCP_NODELAY,
+                         &nodelay, &len),
+            0);
+  EXPECT_NE(nodelay, 0);
+
+  CloseFd(accepted.value());
+  CloseFd(client.value());
+  CloseFd(listener.value());
+}
+
+TEST(NetServerTest, ReapsFinishedConnectionsUnderAnFdLimit) {
+  WhyNotEngine engine = MakeEngine();
+  auto server = WnrsServer::Start(&engine);
+  ASSERT_TRUE(server.ok());
+  const WhyNotRequest request = MakeRequest(RequestKind::kReverseSkyline,
+                                            engine.products().points[2]);
+
+  // Far fewer free descriptors than rounds: without reaping, each
+  // finished connection keeps its server-side fd until Stop() and the
+  // acceptor runs out part-way through.
+  ScopedFdLimit limit(static_cast<rlim_t>(OpenFdCount() + 32));
+  ASSERT_TRUE(limit.ok());
+  constexpr int kRounds = 80;
+  for (int i = 0; i < kRounds; ++i) {
+    const Status s =
+        CallWithin(server.value().get(), request, std::chrono::seconds(10));
+    ASSERT_TRUE(s.ok()) << "round " << i << ": " << s.ToString();
+  }
+  EXPECT_EQ(server.value()->stats().connections_accepted,
+            static_cast<uint64_t>(kRounds));
+}
+
+TEST(NetServerTest, RetriesAcceptWhenDescriptorsRunOut) {
+  WhyNotEngine engine = MakeEngine();
+  auto server = WnrsServer::Start(&engine);
+  ASSERT_TRUE(server.ok());
+  const uint16_t port = server.value()->port();
+  auto accepted = [&](uint64_t n) {
+    return server.value()->stats().connections_accepted == n;
+  };
+  // accept(2) reserves the new descriptor before it blocks, so the
+  // acceptor only sees EMFILE when it enters accept() with a full table.
+  // Stage that: park it in accept(), fill the table, then hand it one
+  // connection; its next accept() then fails for want of a descriptor.
+  auto first = TcpConnect("127.0.0.1", port);
+  ASSERT_TRUE(first.ok());
+  AwaitOrFail([&] { return accepted(1); }, "first connection accepted");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  ScopedFdLimit limit(static_cast<rlim_t>(OpenFdCount() + 16));
+  ASSERT_TRUE(limit.ok());
+  std::vector<int> fillers;
+  while (true) {
+    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    if (fd < 0) break;
+    fillers.push_back(fd);
+  }
+  ASSERT_EQ(errno, EMFILE);
+  ASSERT_GE(fillers.size(), 3u);
+  CloseFd(fillers.back());
+  fillers.pop_back();
+  auto second = TcpConnect("127.0.0.1", port);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  AwaitOrFail([&] { return accepted(2); }, "second connection accepted");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // Free two descriptors, one for the client and one for the server's
+  // end, whichever of them asks first. The acceptor must have kept
+  // retrying.
+  for (int i = 0; i < 2; ++i) {
+    CloseFd(fillers.back());
+    fillers.pop_back();
+  }
+  const Status answered =
+      CallWithin(server.value().get(),
+                 MakeRequest(RequestKind::kReverseSkyline,
+                             engine.products().points[2]),
+                 std::chrono::seconds(10));
+  for (int fd : fillers) CloseFd(fd);
+  CloseFd(second.value());
+  CloseFd(first.value());
+  EXPECT_TRUE(answered.ok()) << answered.ToString();
+  EXPECT_EQ(server.value()->stats().connections_accepted, 3u);
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "core/engine.h"
 #include "data/generators.h"
+#include "reverse_skyline/bbrs.h"
+#include "reverse_skyline/window_query.h"
+#include "skyline/bbs.h"
 
 namespace wnrs {
 namespace {
@@ -242,6 +247,85 @@ TEST(PackedEngineTest, ConcurrentSnapshotQueriesMatch) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+/// One probe input: customer `c` (a product id under the shared relation,
+/// excluded from its own windows) asking about query point `q`.
+struct ProbeCase {
+  size_t c;
+  Point q;
+};
+
+/// The per-layer EngineSnapshot::Probe* methods must equal the free
+/// functions over the dynamic product tree, whichever read path the
+/// engine serves from. Returns how many window probes found the window
+/// non-empty, so callers can check the inputs are not all trivial.
+size_t ExpectProbesMatchDynamicTree(const Dataset& data,
+                                    const std::vector<ProbeCase>& cases) {
+  size_t non_empty = 0;
+  for (const bool packed : {true, false}) {
+    SCOPED_TRACE(packed ? "packed read path" : "dynamic read path");
+    WhyNotEngine engine(Dataset(data), PackedOptions(packed));
+    const EngineSnapshot snapshot = engine.Snapshot();
+    const RStarTree& tree = snapshot.product_tree();
+    for (const ProbeCase& pc : cases) {
+      SCOPED_TRACE(testing::Message()
+                   << "c=" << pc.c << " q=" << pc.q.ToString());
+      const Point& c = data.points[pc.c];
+      const Point& q = pc.q;
+      for (const std::optional<RStarTree::Id> exclude :
+           {std::optional<RStarTree::Id>(static_cast<RStarTree::Id>(pc.c)),
+            std::optional<RStarTree::Id>()}) {
+        const bool empty = snapshot.ProbeWindowEmpty(c, q, exclude);
+        EXPECT_EQ(empty, WindowEmpty(tree, c, q, exclude));
+        if (!empty) ++non_empty;
+        EXPECT_EQ(snapshot.ProbeWindowFrontier(c, q, q, exclude),
+                  WindowSkyline(tree, c, q, q, exclude));
+        EXPECT_EQ(snapshot.ProbeWindowFrontier(c, q, c, exclude),
+                  WindowSkyline(tree, c, q, c, exclude));
+        EXPECT_EQ(snapshot.ProbeDynamicSkyline(c, exclude),
+                  BbsDynamicSkyline(tree, c, exclude));
+        EXPECT_EQ(snapshot.ProbeGlobalSkylineCandidates(q, exclude),
+                  GlobalSkylineCandidates(tree, q, exclude));
+      }
+    }
+  }
+  return non_empty;
+}
+
+TEST(PackedEngineTest, ProbesMatchFreeFunctionsOnFuzzedCarDb) {
+  const Dataset data = GenerateCarDb(900, 9701);
+  Rng rng(9702);
+  std::vector<ProbeCase> cases;
+  for (Point& q : FreshQueries(data, 24, 9703)) {
+    cases.push_back({rng.NextUint64(data.size()), std::move(q)});
+  }
+  EXPECT_GT(ExpectProbesMatchDynamicTree(data, cases), 0u);
+}
+
+// Tie-prone grid coordinates: exact duplicates and culprits sharing a
+// coordinate with q or c, where a probe that drops a duplicate or
+// reorders equal points would first show up.
+TEST(PackedEngineTest, ProbesMatchFreeFunctionsOnGridTies) {
+  Dataset data;
+  data.name = "grid";
+  data.dims = 2;
+  for (int x = 0; x < 6; ++x) {
+    for (int y = 0; y < 6; ++y) {
+      data.points.push_back(Point({static_cast<double>(x) * 10.0,
+                                   static_cast<double>(y) * 10.0}));
+    }
+  }
+  data.points.push_back(Point({20.0, 30.0}));
+  data.points.push_back(Point({40.0, 10.0}));
+  std::vector<ProbeCase> cases;
+  for (const double qx : {0.0, 15.0, 25.0, 30.0, 55.0}) {
+    for (const size_t c : {size_t{0}, size_t{14}, size_t{21}, size_t{36},
+                           size_t{37}}) {
+      cases.push_back({c, Point({qx, 65.0 - qx})});
+    }
+  }
+  EXPECT_GT(ExpectProbesMatchDynamicTree(data, cases), 0u);
 }
 
 }  // namespace

@@ -34,48 +34,88 @@ WhyNotRequest MakeRequest(RequestKind kind, const Point& q, size_t c = 0) {
   return request;
 }
 
+void ExpectCandidatesEq(const std::vector<Candidate>& a,
+                        const std::vector<Candidate>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].point, b[i].point) << "candidate " << i;
+    EXPECT_EQ(a[i].cost, b[i].cost) << "candidate " << i;
+  }
+}
+
+void ExpectSafeRegionEq(const SafeRegionResult& a, const SafeRegionResult& b) {
+  EXPECT_EQ(a.region.rects(), b.region.rects());
+  EXPECT_EQ(a.customers_processed, b.customers_processed);
+  EXPECT_EQ(a.truncated, b.truncated);
+}
+
+void ExpectMwqEq(const MwqResult& a, const MwqResult& b) {
+  EXPECT_EQ(a.already_member, b.already_member);
+  EXPECT_EQ(a.overlap, b.overlap);
+  EXPECT_EQ(a.best_cost, b.best_cost);
+  ExpectCandidatesEq(a.query_candidates, b.query_candidates);
+  ExpectCandidatesEq(a.why_not_candidates, b.why_not_candidates);
+}
+
+// Every request kind answered through the scheduler is bit-identical to
+// the same call on an engine snapshot.
 TEST(ServeTest, ResultsMatchDirectEngineCalls) {
-  const WhyNotEngine engine = MakeEngine();
+  WhyNotEngine engine = MakeEngine();
+  engine.PrecomputeApproxDsls(4);
   RequestScheduler scheduler(&engine);
-  const Point q = engine.products().points[3];
-  const size_t c = 11;
+  const EngineSnapshot snapshot = engine.Snapshot();
 
-  WhyNotResponse r =
-      scheduler.SubmitAndWait(MakeRequest(RequestKind::kReverseSkyline, q));
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.reverse_skyline(), engine.ReverseSkyline(q));
+  constexpr size_t kPairs = 4;
+  for (size_t k = 0; k < kPairs; ++k) {
+    const Point q = engine.products().points[3 + 17 * k];
+    const size_t c = 11 + 29 * k;
+    SCOPED_TRACE(testing::Message() << "c=" << c << " q=" << q.ToString());
 
-  r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kExplain, q, c));
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.explanation().culprits, engine.Explain(c, q).culprits);
+    WhyNotResponse r =
+        scheduler.SubmitAndWait(MakeRequest(RequestKind::kReverseSkyline, q));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.reverse_skyline(), snapshot.TryReverseSkyline(q).value());
 
-  r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kModifyWhyNot, q, c));
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  const MwpResult mwp = engine.ModifyWhyNot(c, q);
-  ASSERT_EQ(r.mwp().candidates.size(), mwp.candidates.size());
-  for (size_t i = 0; i < mwp.candidates.size(); ++i) {
-    EXPECT_EQ(r.mwp().candidates[i].cost, mwp.candidates[i].cost);
-    EXPECT_EQ(r.mwp().candidates[i].point, mwp.candidates[i].point);
+    r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kExplain, q, c));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    const WhyNotExplanation explain = snapshot.TryExplain(c, q).value();
+    EXPECT_EQ(r.explanation().already_member, explain.already_member);
+    EXPECT_EQ(r.explanation().culprits, explain.culprits);
+    EXPECT_EQ(r.explanation().frontier, explain.frontier);
+
+    r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kModifyWhyNot, q, c));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    const MwpResult mwp = snapshot.TryModifyWhyNot(c, q).value();
+    EXPECT_EQ(r.mwp().already_member, mwp.already_member);
+    EXPECT_EQ(r.mwp().culprits, mwp.culprits);
+    ExpectCandidatesEq(r.mwp().candidates, mwp.candidates);
+
+    r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kModifyQuery, q, c));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    const MqpResult mqp = snapshot.TryModifyQuery(c, q).value();
+    EXPECT_EQ(r.mqp().already_member, mqp.already_member);
+    EXPECT_EQ(r.mqp().culprits, mqp.culprits);
+    ExpectCandidatesEq(r.mqp().candidates, mqp.candidates);
+
+    r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kSafeRegion, q));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ASSERT_NE(r.safe_region(), nullptr);
+    ExpectSafeRegionEq(*r.safe_region(), *snapshot.TrySafeRegion(q).value());
+
+    r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kModifyBoth, q, c));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ExpectMwqEq(r.mwq(), snapshot.TryModifyBoth(c, q).value());
+
+    r = scheduler.SubmitAndWait(
+        MakeRequest(RequestKind::kModifyBothApprox, q, c));
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    ExpectMwqEq(r.mwq(), snapshot.TryModifyBothApprox(c, q).value());
   }
 
-  r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kModifyQuery, q, c));
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  const MqpResult mqp = engine.ModifyQuery(c, q);
-  ASSERT_EQ(r.mqp().candidates.size(), mqp.candidates.size());
-
-  r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kSafeRegion, q));
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  ASSERT_NE(r.safe_region(), nullptr);
-  EXPECT_EQ(r.safe_region()->region.size(), engine.SafeRegion(q).region.size());
-
-  r = scheduler.SubmitAndWait(MakeRequest(RequestKind::kModifyBoth, q, c));
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.mwq().best_cost, engine.ModifyBoth(c, q).best_cost);
-
   const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, 6u);
-  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.submitted, 7 * kPairs);
+  EXPECT_EQ(stats.completed, 7 * kPairs);
   EXPECT_EQ(stats.deadline_misses, 0u);
   EXPECT_EQ(stats.admission_rejects, 0u);
 }

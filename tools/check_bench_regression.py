@@ -47,8 +47,8 @@ parallelism: the spec is skipped (with a printed notice) when the bench
 report's `host_cores` field — std::thread::hardware_concurrency() at run
 time, recorded by BenchReporter — is below MINCORES. A report without
 the field counts as unknown and is skipped too. Use it for gates like
-"4 shards beat one engine" or "4 threads beat 1", which are true on the
-4-core CI runners but meaningless on a 1-core dev container.
+"4 threads beat 1 on a batched MWQ run", which holds on the 4-core CI
+runners but means nothing on a 1-core dev container.
 
 Exit codes: 0 = pass, 1 = regression or missing data, 2 = usage error.
 """

@@ -11,9 +11,6 @@
 //   --threads <n>     engine worker threads (default 1)
 //   --approx <k>      precompute approx DSLs with parameter k (enables
 //                     modify_both_approx requests)
-//   --shards <n>      serve through the sharded engine with n STR tiles
-//                     (default 0 = single-core engine); the wire protocol
-//                     and every answer are identical either way
 //
 // The load generator (bench/bench_loadgen.cc) is the matching client.
 
@@ -28,8 +25,6 @@
 #include "core/engine.h"
 #include "data/generators.h"
 #include "net/server.h"
-#include "shard/sharded_backend.h"
-#include "shard/sharded_engine.h"
 #include "storage/file_io.h"
 
 namespace {
@@ -41,7 +36,7 @@ int Usage() {
       stderr,
       "usage: wnrs_server (--bundle <dir> | --generate <n>[:<seed>])\n"
       "         [--port <p>] [--port-file <f>] [--max-queue <n>]\n"
-      "         [--threads <n>] [--approx <k>] [--shards <n>]\n");
+      "         [--threads <n>] [--approx <k>]\n");
   return 2;
 }
 
@@ -62,7 +57,6 @@ int main(int argc, char** argv) {
   size_t max_queue = 1024;
   size_t threads = 1;
   size_t approx_k = 0;
-  size_t shards = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -86,8 +80,6 @@ int main(int argc, char** argv) {
       threads = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--approx" && has_value) {
       approx_k = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--shards" && has_value) {
-      shards = std::strtoull(argv[++i], nullptr, 10);
     } else {
       std::fprintf(stderr, "wnrs_server: unknown or incomplete flag '%s'\n",
                    arg.c_str());
@@ -111,36 +103,12 @@ int main(int argc, char** argv) {
     engine = std::make_unique<WhyNotEngine>(
         GenerateCarDb(generate_n, generate_seed), engine_options);
   }
-  // --shards routes the same datasets through the sharded engine behind
-  // the QueryBackend seam; the single engine is only a loader in that
-  // mode and is dropped once the tiles are frozen.
-  std::unique_ptr<shard::ShardedEngine> sharded;
-  std::shared_ptr<const serve::QueryBackend> backend;
-  size_t num_products = engine->products().size();
-  size_t num_customers = engine->customers().size();
-  if (shards > 0) {
-    shard::ShardedEngineOptions sharded_options;
-    sharded_options.num_shards = shards;
-    sharded_options.engine = engine_options;
-    if (engine->shared_relation()) {
-      sharded = std::make_unique<shard::ShardedEngine>(engine->products(),
-                                                       sharded_options);
-    } else {
-      sharded = std::make_unique<shard::ShardedEngine>(
-          engine->products(), engine->customers(), sharded_options);
-    }
-    engine.reset();
-    if (approx_k > 0) sharded->PrecomputeApproxDsls(approx_k);
-    backend = std::make_shared<shard::ShardedBackend>(sharded.get());
-  } else {
-    if (approx_k > 0) engine->PrecomputeApproxDsls(approx_k);
-    backend = std::make_shared<serve::EngineBackend>(engine.get());
-  }
+  if (approx_k > 0) engine->PrecomputeApproxDsls(approx_k);
 
   net::ServerOptions server_options;
   server_options.port = port;
   server_options.scheduler.max_queue_depth = max_queue;
-  auto server = net::WnrsServer::Start(backend, server_options);
+  auto server = net::WnrsServer::Start(engine.get(), server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "wnrs_server: cannot start: %s\n",
                  server.status().ToString().c_str());
@@ -157,10 +125,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "wnrs_server: serving %zu products / %zu customers on port %u "
-               "(max queue %zu, shards %zu)\n",
-               num_products, num_customers,
-               static_cast<unsigned>(server.value()->port()), max_queue,
-               shards > 0 ? sharded->num_shards() : 1);
+               "(max queue %zu)\n",
+               engine->products().size(), engine->customers().size(),
+               static_cast<unsigned>(server.value()->port()), max_queue);
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
