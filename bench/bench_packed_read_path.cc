@@ -1,6 +1,7 @@
 // Dynamic vs packed read path: the same BBS / BBRS / window-query
-// workloads executed once against the pointer-based R*-tree and once
-// against its frozen PackedRTree image. Results are bit-identical by
+// workloads, and the safe-region and MWQ algorithms built on them,
+// executed once against the pointer-based R*-tree and once against its
+// frozen PackedRTree image. Results are bit-identical by
 // construction (the parity tests pin that); this bench measures what the
 // arena layout and the span kernels buy in wall time, and records the
 // node-read counters so the regression gate can assert that packed work
@@ -10,6 +11,11 @@
 //   bbs-{dynamic,packed}     BbsDynamicSkyline per workload query
 //   bbrs-{dynamic,packed}    BbrsReverseSkyline per workload query
 //   window-{dynamic,packed}  WindowSkyline + WindowEmpty probes
+//   sr-{dynamic,packed}      ComputeSafeRegion (one BBS DSL per RSL
+//                            member) per workload query
+//   mwq-{dynamic,packed}     ModifyQueryAndWhyNotPoint given that safe
+//                            region, with the engine's member-keeping
+//                            probes
 // plus a "freeze" config capturing the publish-time cost of
 // PackedRTree::Freeze itself.
 
@@ -18,6 +24,8 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "core/mwq.h"
+#include "core/safe_region.h"
 #include "index/packed_rtree.h"
 #include "index/rtree.h"
 #include "reverse_skyline/bbrs.h"
@@ -30,6 +38,7 @@ namespace {
 struct Workload {
   std::vector<Point> queries;     // BBS origins / BBRS query products.
   std::vector<Point> customers;   // Window-query customers (paired).
+  std::vector<size_t> customer_ids;  // Their product ids (MWQ why-nots).
 };
 
 Workload MakeQueries(const Dataset& data, size_t count, uint64_t seed) {
@@ -43,7 +52,8 @@ Workload MakeQueries(const Dataset& data, size_t count, uint64_t seed) {
       q[i] *= rng.NextDouble(0.95, 1.05);
     }
     w.queries.push_back(std::move(q));
-    w.customers.push_back(data.points[rng.NextUint64(data.size())]);
+    w.customer_ids.push_back(rng.NextUint64(data.size()));
+    w.customers.push_back(data.points[w.customer_ids.back()]);
   }
   return w;
 }
@@ -140,6 +150,76 @@ int Run(int argc, char** argv) {
   window.packed_ms = timer.ElapsedMillis();
   reporter.End();
   timings.push_back(window);
+
+  // --- Safe regions and MWQ (shared relation: customers are the
+  // products, each excluded from its own windows). RSL(q) is an input
+  // here, computed once outside the timed regions. ---
+  const Rectangle universe = data.Bounds();
+  const CostModel cost_model = CostModel::EqualWeightsFor(universe);
+  std::vector<std::vector<size_t>> rsls;
+  for (const Point& q : workload.queries) {
+    const std::vector<RStarTree::Id> ids = BbrsReverseSkyline(packed, q);
+    rsls.emplace_back(ids.begin(), ids.end());
+  }
+  auto safe_regions = [&](const auto& index, size_t* sum) {
+    std::vector<SafeRegionResult> out;
+    for (size_t k = 0; k < workload.queries.size(); ++k) {
+      out.push_back(ComputeSafeRegion(index, data.points, data.points,
+                                      rsls[k], workload.queries[k], universe,
+                                      /*shared_relation=*/true));
+      *sum += out.back().region.size() + out.back().customers_processed;
+    }
+    return out;
+  };
+  auto mwqs = [&](const auto& index, const std::vector<SafeRegionResult>& srs,
+                  size_t* sum) {
+    for (size_t k = 0; k < workload.queries.size(); ++k) {
+      const std::vector<size_t>& rsl = rsls[k];
+      const KeepsMembersFn keeps = [&](const Point& q_star) {
+        for (size_t m : rsl) {
+          if (!WindowEmpty(index, data.points[m], q_star,
+                           static_cast<RStarTree::Id>(m))) {
+            return false;
+          }
+        }
+        return true;
+      };
+      const size_t c = workload.customer_ids[k];
+      const MwqResult r = ModifyQueryAndWhyNotPoint(
+          index, data.points, data.points[c], workload.queries[k],
+          srs[k].region, universe, cost_model, 0,
+          static_cast<RStarTree::Id>(c), keeps);
+      *sum += r.query_candidates.size() + r.why_not_candidates.size();
+    }
+  };
+
+  Timing sr{"sr"};
+  reporter.Begin("sr-dynamic");
+  timer.Restart();
+  const std::vector<SafeRegionResult> dynamic_srs =
+      safe_regions(tree, &dynamic_sum);
+  sr.dynamic_ms = timer.ElapsedMillis();
+  reporter.End();
+  reporter.Begin("sr-packed");
+  timer.Restart();
+  const std::vector<SafeRegionResult> packed_srs =
+      safe_regions(packed, &packed_sum);
+  sr.packed_ms = timer.ElapsedMillis();
+  reporter.End();
+  timings.push_back(sr);
+
+  Timing mwq{"mwq"};
+  reporter.Begin("mwq-dynamic");
+  timer.Restart();
+  mwqs(tree, dynamic_srs, &dynamic_sum);
+  mwq.dynamic_ms = timer.ElapsedMillis();
+  reporter.End();
+  reporter.Begin("mwq-packed");
+  timer.Restart();
+  mwqs(packed, packed_srs, &packed_sum);
+  mwq.packed_ms = timer.ElapsedMillis();
+  reporter.End();
+  timings.push_back(mwq);
 
   std::printf("\n--- packed read path: CarDB-%zu, %zu queries ---\n", n,
               num_queries);

@@ -99,11 +99,11 @@ struct EngineCore {
   std::shared_ptr<const Dataset> customers;
   std::shared_ptr<const RStarTree> tree;
   std::shared_ptr<const RStarTree> customer_tree;
-  /// Frozen arena images of the trees above, serving the query hot loops
-  /// when options.use_packed_read_path is set (null otherwise). Rebuilt
-  /// by every mutation that changes the corresponding source tree; in
-  /// shared-relation mode packed_customer_tree stays null (packed_tree
-  /// plays both roles, like `tree`).
+  /// Frozen arena images of the trees above; every query kind reads
+  /// these, never the dynamic trees. Rebuilt by every mutation that
+  /// changes the corresponding source tree; in shared-relation mode
+  /// packed_customer_tree stays null (packed_tree plays both roles, like
+  /// `tree`).
   std::shared_ptr<const PackedRTree> packed_tree;
   std::shared_ptr<const PackedRTree> packed_customer_tree;
   /// Tombstones (shared-relation customers disappear with their product).
@@ -135,14 +135,12 @@ struct EngineCore {
         products(std::make_shared<const Dataset>(std::move(products_in))),
         tree(std::make_shared<const RStarTree>(BulkLoadPoints(
             products->dims, products->points, options.rtree))),
+        packed_tree(
+            std::make_shared<const PackedRTree>(PackedRTree::Freeze(*tree))),
         universe(products->Bounds()),
         cost_model(MakeCostModel(universe, options)),
         pool(std::move(pool_in)) {
     WNRS_CHECK(!products->points.empty());
-    if (options.use_packed_read_path) {
-      packed_tree =
-          std::make_shared<const PackedRTree>(PackedRTree::Freeze(*tree));
-    }
     ParanoidCheckIndex();
   }
 
@@ -157,18 +155,16 @@ struct EngineCore {
             products->dims, products->points, options.rtree))),
         customer_tree(std::make_shared<const RStarTree>(BulkLoadPoints(
             customers->dims, customers->points, options.rtree))),
+        packed_tree(
+            std::make_shared<const PackedRTree>(PackedRTree::Freeze(*tree))),
+        packed_customer_tree(std::make_shared<const PackedRTree>(
+            PackedRTree::Freeze(*customer_tree))),
         universe(UnionBounds(*products, *customers)),
         cost_model(MakeCostModel(universe, options)),
         pool(std::move(pool_in)) {
     WNRS_CHECK(products->dims == customers->dims);
     WNRS_CHECK(!products->points.empty());
     WNRS_CHECK(!customers->points.empty());
-    if (options.use_packed_read_path) {
-      packed_tree =
-          std::make_shared<const PackedRTree>(PackedRTree::Freeze(*tree));
-      packed_customer_tree = std::make_shared<const PackedRTree>(
-          PackedRTree::Freeze(*customer_tree));
-    }
     ParanoidCheckIndex();
   }
 
@@ -193,6 +189,8 @@ struct EngineCore {
         pool(std::move(parts.pool)) {
     WNRS_CHECK(products != nullptr && !products->points.empty());
     WNRS_CHECK(shared_relation == (customers == nullptr));
+    WNRS_CHECK(packed_tree != nullptr);
+    WNRS_CHECK((customer_tree == nullptr) == (packed_customer_tree == nullptr));
     ParanoidCheckIndex();
   }
 
@@ -305,12 +303,10 @@ struct EngineCore {
       s = ValidateTree(*customer_tree);
       WNRS_CHECK(s.ok()) << "paranoid customer tree: " << s.ToString();
     }
-    if (packed_tree != nullptr) {
-      s = ValidatePacked(*packed_tree);
-      WNRS_CHECK(s.ok()) << "paranoid packed tree: " << s.ToString();
-      s = ValidatePackedMatchesDynamic(*packed_tree, *tree);
-      WNRS_CHECK(s.ok()) << "paranoid packed parity: " << s.ToString();
-    }
+    s = ValidatePacked(*packed_tree);
+    WNRS_CHECK(s.ok()) << "paranoid packed tree: " << s.ToString();
+    s = ValidatePackedMatchesDynamic(*packed_tree, *tree);
+    WNRS_CHECK(s.ok()) << "paranoid packed parity: " << s.ToString();
     if (packed_customer_tree != nullptr) {
       s = ValidatePackedMatchesDynamic(*packed_customer_tree, *customer_tree);
       WNRS_CHECK(s.ok()) << "paranoid packed customer parity: "
@@ -318,64 +314,26 @@ struct EngineCore {
     }
   }
 
-  // ---- Read path. All const; results are bit-identical regardless of
-  // thread count or cache state. ----
-
-  /// Window-emptiness probe against the product set (the reverse-skyline
-  /// membership test), served by the packed read path when available.
-  bool ProductWindowEmpty(const Point& c, const Point& q,
-                          std::optional<RStarTree::Id> exclude) const {
-    return packed_tree != nullptr ? WindowEmpty(*packed_tree, c, q, exclude)
-                                  : WindowEmpty(*tree, c, q, exclude);
-  }
-
-  /// Window skyline of (c, q) in `origin`'s distance space, ascending ids.
-  std::vector<RStarTree::Id> ProductWindowFrontier(
-      const Point& c, const Point& q, const Point& origin,
-      std::optional<RStarTree::Id> exclude) const {
-    return packed_tree != nullptr
-               ? WindowSkyline(*packed_tree, c, q, origin, exclude)
-               : WindowSkyline(*tree, c, q, origin, exclude);
-  }
-
-  /// DSL(c) over the product index (BBS traversal order; duplicates of a
-  /// skyline point are all reported).
-  std::vector<RStarTree::Id> ProductDynamicSkyline(
-      const Point& c, std::optional<RStarTree::Id> exclude) const {
-    return packed_tree != nullptr ? BbsDynamicSkyline(*packed_tree, c, exclude)
-                                  : BbsDynamicSkyline(*tree, c, exclude);
-  }
-
-  std::vector<RStarTree::Id> ProductGlobalSkylineCandidates(
-      const Point& q, std::optional<RStarTree::Id> exclude) const {
-    return packed_tree != nullptr
-               ? GlobalSkylineCandidates(*packed_tree, q, exclude)
-               : GlobalSkylineCandidates(*tree, q, exclude);
-  }
+  // ---- Read path. All const; every query runs on the packed trees.
+  // Results are bit-identical regardless of thread count or cache
+  // state. ----
 
   /// The probe NudgeToStrictMember and the strict post-passes run on,
   /// with customer `c`'s own-tuple exclusion bound in.
   StrictWindowEmptyFn StrictProbeFor(size_t c) const {
     return [this, c](const Point& cc, const Point& qq) {
-      return ProductWindowEmpty(cc, qq, ExcludeFor(c));
+      return WindowEmpty(*packed_tree, cc, qq, ExcludeFor(c));
     };
   }
 
   std::vector<size_t> ComputeReverseSkyline(const Point& q) const {
-    std::vector<RStarTree::Id> ids;
-    if (shared_relation) {
-      ids = packed_tree != nullptr
-                ? BbrsReverseSkyline(*packed_tree, q, pool.get())
-                : BbrsReverseSkyline(*tree, q, pool.get());
-    } else if (packed_tree != nullptr) {
-      ids = BbrsReverseSkylineBichromatic(*packed_customer_tree, *packed_tree,
-                                          q, /*shared_relation=*/false,
-                                          pool.get());
-    } else {
-      ids = BbrsReverseSkylineBichromatic(*customer_tree, *tree, q,
-                                          /*shared_relation=*/false,
-                                          pool.get());
-    }
+    const std::vector<RStarTree::Id> ids =
+        shared_relation
+            ? BbrsReverseSkyline(*packed_tree, q, pool.get())
+            : BbrsReverseSkylineBichromatic(*packed_customer_tree,
+                                            *packed_tree, q,
+                                            /*shared_relation=*/false,
+                                            pool.get());
     std::vector<size_t> out;
     out.reserve(ids.size());
     for (RStarTree::Id id : ids) out.push_back(static_cast<size_t>(id));
@@ -411,20 +369,14 @@ struct EngineCore {
   }
 
   bool IsReverseSkylineMember(size_t c, const Point& q) const {
-    return ProductWindowEmpty(CustomerPoint(c), q, ExcludeFor(c));
+    return WindowEmpty(*packed_tree, CustomerPoint(c), q, ExcludeFor(c));
   }
 
   std::vector<size_t> CustomersInRange(const Rectangle& window) const {
-    // Both RangeQueryIds implementations return ascending ids.
-    std::vector<RStarTree::Id> ids;
-    if (packed_tree != nullptr) {
-      const PackedRTree& t =
-          shared_relation ? *packed_tree : *packed_customer_tree;
-      ids = t.RangeQueryIds(window);
-    } else {
-      const RStarTree& t = shared_relation ? *tree : *customer_tree;
-      ids = t.RangeQueryIds(window);
-    }
+    const PackedRTree& t =
+        shared_relation ? *packed_tree : *packed_customer_tree;
+    // RangeQueryIds returns ascending ids.
+    const std::vector<RStarTree::Id> ids = t.RangeQueryIds(window);
     std::vector<size_t> out;
     out.reserve(ids.size());
     for (RStarTree::Id id : ids) out.push_back(static_cast<size_t>(id));
@@ -432,7 +384,7 @@ struct EngineCore {
   }
 
   WhyNotExplanation Explain(size_t c, const Point& q) const {
-    return ExplainWhyNot(*tree, products->points, CustomerPoint(c), q,
+    return ExplainWhyNot(*packed_tree, products->points, CustomerPoint(c), q,
                          ExcludeFor(c));
   }
 
@@ -472,13 +424,9 @@ struct EngineCore {
   }
 
   MwpResult ModifyWhyNot(size_t c, const Point& q, Semantics semantics) const {
-    MwpResult out =
-        options.fast_frontier
-            ? ModifyWhyNotPointFast(*tree, products->points, CustomerPoint(c),
-                                    q, cost_model, options.sort_dim,
-                                    ExcludeFor(c))
-            : ModifyWhyNotPoint(*tree, products->points, CustomerPoint(c), q,
-                                cost_model, options.sort_dim, ExcludeFor(c));
+    MwpResult out = ModifyWhyNotPointFast(*packed_tree, products->points,
+                                          CustomerPoint(c), q, cost_model,
+                                          options.sort_dim, ExcludeFor(c));
     if (semantics == Semantics::kStrict) ApplyStrictMwp(c, q, &out);
     if (options.paranoid_checks) {
       const Status s = ValidateMwpAnswer(MakeValidationInput(), c, q, out);
@@ -488,13 +436,9 @@ struct EngineCore {
   }
 
   MqpResult ModifyQuery(size_t c, const Point& q, Semantics semantics) const {
-    MqpResult out =
-        options.fast_frontier
-            ? ModifyQueryPointFast(*tree, products->points, CustomerPoint(c),
-                                   q, cost_model, options.sort_dim,
-                                   ExcludeFor(c))
-            : ModifyQueryPoint(*tree, products->points, CustomerPoint(c), q,
-                               cost_model, options.sort_dim, ExcludeFor(c));
+    MqpResult out = ModifyQueryPointFast(*packed_tree, products->points,
+                                         CustomerPoint(c), q, cost_model,
+                                         options.sort_dim, ExcludeFor(c));
     if (semantics == Semantics::kStrict) ApplyStrictMqp(c, q, &out);
     if (options.paranoid_checks) {
       const Status s = ValidateMqpAnswer(MakeValidationInput(), c, q, out);
@@ -515,8 +459,9 @@ struct EngineCore {
     sr_options.max_rectangles = options.max_safe_region_rectangles;
     const std::vector<size_t> rsl = ReverseSkyline(q);
     auto computed = std::make_shared<const SafeRegionResult>(
-        ComputeSafeRegion(*tree, products->points, customer_dataset().points,
-                          rsl, q, universe, shared_relation, sr_options));
+        ComputeSafeRegion(*packed_tree, products->points,
+                          customer_dataset().points, rsl, q, universe,
+                          shared_relation, sr_options));
     if (options.paranoid_checks) {
       const Status s =
           ValidateSafeRegion(MakeValidationInput(), rsl, q, *computed);
@@ -587,8 +532,8 @@ struct EngineCore {
       std::atomic<bool> keeps{true};
       pool->ParallelFor(0, rsl.size(), [&](size_t i) {
         if (!keeps.load(std::memory_order_relaxed)) return;
-        if (!ProductWindowEmpty(CustomerPoint(rsl[i]), q_star,
-                                ExcludeFor(rsl[i]))) {
+        if (!WindowEmpty(*packed_tree, CustomerPoint(rsl[i]), q_star,
+                         ExcludeFor(rsl[i]))) {
           keeps.store(false, std::memory_order_relaxed);
         }
       });
@@ -607,9 +552,9 @@ struct EngineCore {
   MwqResult ModifyBoth(size_t c, const Point& q, Semantics semantics) const {
     std::shared_ptr<const SafeRegionResult> sr = SafeRegion(q);
     MwqResult out = ModifyQueryAndWhyNotPoint(
-        *tree, products->points, CustomerPoint(c), q, sr->region, universe,
-        cost_model, options.sort_dim, ExcludeFor(c), MakeKeepsMembersFn(q),
-        options.fast_frontier);
+        *packed_tree, products->points, CustomerPoint(c), q, sr->region,
+        universe, cost_model, options.sort_dim, ExcludeFor(c),
+        MakeKeepsMembersFn(q));
     if (semantics == Semantics::kStrict) ApplyStrictMwq(c, &out);
     ParanoidCheckMwq(c, q, out);
     return out;
@@ -619,9 +564,9 @@ struct EngineCore {
                              Semantics semantics) const {
     std::shared_ptr<const SafeRegionResult> sr = ApproxSafeRegion(q);
     MwqResult out = ModifyQueryAndWhyNotPoint(
-        *tree, products->points, CustomerPoint(c), q, sr->region, universe,
-        cost_model, options.sort_dim, ExcludeFor(c), MakeKeepsMembersFn(q),
-        options.fast_frontier);
+        *packed_tree, products->points, CustomerPoint(c), q, sr->region,
+        universe, cost_model, options.sort_dim, ExcludeFor(c),
+        MakeKeepsMembersFn(q));
     if (semantics == Semantics::kStrict) ApplyStrictMwq(c, &out);
     ParanoidCheckMwq(c, q, out);
     return out;
@@ -632,9 +577,9 @@ struct EngineCore {
                                   Semantics semantics) const {
     const SafeRegionResult sr = ConstrainedSafeRegion(q, limits);
     MwqResult out = ModifyQueryAndWhyNotPoint(
-        *tree, products->points, CustomerPoint(c), q, sr.region, universe,
-        cost_model, options.sort_dim, ExcludeFor(c), MakeKeepsMembersFn(q),
-        options.fast_frontier);
+        *packed_tree, products->points, CustomerPoint(c), q, sr.region,
+        universe, cost_model, options.sort_dim, ExcludeFor(c),
+        MakeKeepsMembersFn(q));
     if (semantics == Semantics::kStrict) ApplyStrictMwq(c, &out);
     ParanoidCheckMwq(c, q, out);
     return out;
@@ -644,8 +589,8 @@ struct EngineCore {
     const std::vector<size_t> members = ReverseSkyline(q);
     const std::vector<unsigned char> is_lost =
         pool->ParallelMap<unsigned char>(members.size(), [&](size_t i) {
-          return ProductWindowEmpty(CustomerPoint(members[i]), q_star,
-                                    ExcludeFor(members[i]))
+          return WindowEmpty(*packed_tree, CustomerPoint(members[i]), q_star,
+                             ExcludeFor(members[i]))
                      ? static_cast<unsigned char>(0)
                      : static_cast<unsigned char>(1);
         });
@@ -841,20 +786,20 @@ std::optional<Point> EngineSnapshot::NudgeToStrictMember(
 bool EngineSnapshot::ProbeWindowEmpty(
     const Point& c, const Point& q,
     std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductWindowEmpty(c, q, exclude);
+  return WindowEmpty(*core_->packed_tree, c, q, exclude);
 }
 std::vector<RStarTree::Id> EngineSnapshot::ProbeWindowFrontier(
     const Point& c, const Point& q, const Point& origin,
     std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductWindowFrontier(c, q, origin, exclude);
+  return WindowSkyline(*core_->packed_tree, c, q, origin, exclude);
 }
 std::vector<RStarTree::Id> EngineSnapshot::ProbeDynamicSkyline(
     const Point& c, std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductDynamicSkyline(c, exclude);
+  return BbsDynamicSkyline(*core_->packed_tree, c, exclude);
 }
 std::vector<RStarTree::Id> EngineSnapshot::ProbeGlobalSkylineCandidates(
     const Point& q, std::optional<RStarTree::Id> exclude) const {
-  return core_->ProductGlobalSkylineCandidates(q, exclude);
+  return GlobalSkylineCandidates(*core_->packed_tree, q, exclude);
 }
 
 Result<std::vector<size_t>> EngineSnapshot::TryReverseSkyline(
@@ -956,7 +901,7 @@ Status WhyNotEngine::Save(const std::string& dir) const {
   }
   data.removed = cur->removed;
   data.universe = cur->universe;
-  data.has_packed = cur->packed_tree != nullptr;
+  data.has_packed = true;
   data.has_packed_customers = cur->packed_customer_tree != nullptr;
   WNRS_RETURN_IF_ERROR(
       storage::SaveBundleData(data, base + storage::kBundleDataFile));
@@ -967,10 +912,8 @@ Status WhyNotEngine::Save(const std::string& dir) const {
     WNRS_RETURN_IF_ERROR(storage::SavePagedTree(
         *cur->customer_tree, base + storage::kBundleCustomerTreeFile));
   }
-  if (cur->packed_tree != nullptr) {
-    WNRS_RETURN_IF_ERROR(storage::SavePacked(
-        *cur->packed_tree, base + storage::kBundlePackedFile));
-  }
+  WNRS_RETURN_IF_ERROR(storage::SavePacked(
+      *cur->packed_tree, base + storage::kBundlePackedFile));
   if (cur->packed_customer_tree != nullptr) {
     WNRS_RETURN_IF_ERROR(storage::SavePacked(
         *cur->packed_customer_tree,
@@ -1078,19 +1021,17 @@ Result<std::unique_ptr<WhyNotEngine>> WhyNotEngine::Open(
         std::make_shared<const RStarTree>(std::move(ctree_r).value());
   }
 
-  if (options.use_packed_read_path) {
-    Result<std::shared_ptr<const PackedRTree>> packed =
-        RestorePacked(base + storage::kBundlePackedFile, data.has_packed,
-                      *parts.tree, options.storage);
-    WNRS_RETURN_IF_ERROR(packed.status());
-    parts.packed_tree = std::move(packed).value();
-    if (parts.customer_tree != nullptr) {
-      Result<std::shared_ptr<const PackedRTree>> packed_c = RestorePacked(
-          base + storage::kBundlePackedCustomerFile,
-          data.has_packed_customers, *parts.customer_tree, options.storage);
-      WNRS_RETURN_IF_ERROR(packed_c.status());
-      parts.packed_customer_tree = std::move(packed_c).value();
-    }
+  Result<std::shared_ptr<const PackedRTree>> packed =
+      RestorePacked(base + storage::kBundlePackedFile, data.has_packed,
+                    *parts.tree, options.storage);
+  WNRS_RETURN_IF_ERROR(packed.status());
+  parts.packed_tree = std::move(packed).value();
+  if (parts.customer_tree != nullptr) {
+    Result<std::shared_ptr<const PackedRTree>> packed_c = RestorePacked(
+        base + storage::kBundlePackedCustomerFile, data.has_packed_customers,
+        *parts.customer_tree, options.storage);
+    WNRS_RETURN_IF_ERROR(packed_c.status());
+    parts.packed_customer_tree = std::move(packed_c).value();
   }
 
   auto pool = std::make_shared<ThreadPool>(options.num_threads);
@@ -1274,11 +1215,8 @@ void WhyNotEngine::PrecomputeApproxDsls(size_t k) {
   // One dynamic skyline per customer, each writing its own slot: the
   // embarrassingly parallel offline pass of Section VI-B.1.
   cur->pool->ParallelFor(0, ds.points.size(), [&](size_t c) {
-    const std::vector<RStarTree::Id> dsl =
-        cur->packed_tree != nullptr
-            ? BbsDynamicSkyline(*cur->packed_tree, ds.points[c],
-                                cur->ExcludeFor(c))
-            : BbsDynamicSkyline(*cur->tree, ds.points[c], cur->ExcludeFor(c));
+    const std::vector<RStarTree::Id> dsl = BbsDynamicSkyline(
+        *cur->packed_tree, ds.points[c], cur->ExcludeFor(c));
     std::vector<Point> transformed;
     transformed.reserve(dsl.size());
     for (RStarTree::Id id : dsl) {
@@ -1396,10 +1334,8 @@ size_t WhyNotEngine::AddProduct(const Point& p) {
   auto next = std::make_shared<internal::EngineCore>(*cur);
   next->products = std::move(new_products);
   next->tree = std::move(new_tree);
-  if (next->options.use_packed_read_path) {
-    next->packed_tree = std::make_shared<const PackedRTree>(
-        PackedRTree::Freeze(*next->tree));
-  }
+  next->packed_tree =
+      std::make_shared<const PackedRTree>(PackedRTree::Freeze(*next->tree));
   next->removed.resize(id + 1, false);
   // Keep the universe a superset of all live points; the cost model's
   // normalization follows it when the new tuple falls outside.
@@ -1445,10 +1381,8 @@ Status WhyNotEngine::TryRemoveProduct(size_t id) {
   }
   auto next = std::make_shared<internal::EngineCore>(*cur);
   next->tree = std::move(new_tree);
-  if (next->options.use_packed_read_path) {
-    next->packed_tree = std::make_shared<const PackedRTree>(
-        PackedRTree::Freeze(*next->tree));
-  }
+  next->packed_tree =
+      std::make_shared<const PackedRTree>(PackedRTree::Freeze(*next->tree));
   next->removed.resize(cur->products->points.size(), false);
   next->removed[id] = true;
   next->approx_dsls.reset();

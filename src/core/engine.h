@@ -47,11 +47,6 @@ struct WhyNotEngineOptions {
   std::vector<double> beta;
   /// Cap on safe-region rectangles (see SafeRegionOptions).
   size_t max_safe_region_rectangles = 8192;
-  /// Use the branch-and-bound window-skyline frontier for MWP/MQP
-  /// (identical candidates, runtime O(|F|) instead of O(|Λ|); the
-  /// reported culprit list then holds only the frontier). Explain()
-  /// always materializes the full culprit set regardless.
-  bool fast_frontier = true;
   /// Nudge applied under Semantics::kStrict to turn closed-boundary
   /// answers into strict reverse-skyline members, as a fraction of each
   /// dimension's data range.
@@ -62,22 +57,15 @@ struct WhyNotEngineOptions {
   /// execution with no worker threads. Every thread count produces
   /// identical results; only the scheduling differs.
   size_t num_threads = 0;
-  /// Serve the query hot loops (BBS, BBRS, window probes, range queries)
-  /// from a packed, arena-backed image of the R*-tree (PackedRTree)
-  /// frozen once per mutation at snapshot-publish time, instead of
-  /// pointer-chasing the dynamic tree. Results, node-read counts, and
-  /// traversal order are bit-identical either way; the packed path is
-  /// simply faster. Freeze cost is surfaced in the packed.freezes /
-  /// packed.freeze_ns metrics. Disable to A/B the two paths.
-  bool use_packed_read_path = true;
   /// Re-verify every answer against ground truth before returning it:
   /// tree structure after each mutation (index/validate.h), safe-region
   /// soundness by sampled window probes, and MWP/MQP/MWQ membership of
   /// every returned candidate (core/validate.h). A violation aborts via
   /// WNRS_CHECK with the violated invariant named — fail closed, never
   /// serve a wrong answer. Expensive (each answer is re-proved with
-  /// independent probes over the dynamic tree); meant for tests, fuzzing
-  /// and canary replicas, not the serving fleet.
+  /// independent probes over the dynamic tree, while the answers
+  /// themselves come from the packed tree); meant for tests, fuzzing and
+  /// canary replicas, not the serving fleet.
   bool paranoid_checks = false;
   /// Persistence knobs used by WhyNotEngine::Open.
   EngineStorageOptions storage;
@@ -165,9 +153,9 @@ class EngineSnapshot {
 
   /// Per-layer probes: the index primitives the query algorithms are
   /// built from, exposed so each layer can be timed and tested on its
-  /// own. Each dispatches packed-vs-dynamic exactly like the
-  /// corresponding full-query call site and returns a canonical ordering
-  /// (ascending ids for window frontiers). `exclude` is the raw tree id
+  /// own. Each runs on the packed tree, like every full-query call site,
+  /// and returns a canonical ordering (ascending ids for window
+  /// frontiers). `exclude` is the raw tree id
   /// to skip (a customer's own tuple under a shared relation).
   bool ProbeWindowEmpty(const Point& c, const Point& q,
                         std::optional<RStarTree::Id> exclude) const;
@@ -227,6 +215,12 @@ class EngineSnapshot {
 /// why-not question for the same query point"), and the optional offline
 /// store of approximated dynamic skylines.
 ///
+/// Every query kind reads a packed, arena-backed image of the R*-tree
+/// (PackedRTree) frozen once per mutation at snapshot publish; its freeze
+/// cost shows in the packed.freezes / packed.freeze_ns metrics. The
+/// dynamic R*-tree takes the mutations, persistence and the
+/// paranoid_checks validators.
+///
 /// Customers are addressed by index into customers().points; in the
 /// shared-relation mode (one relation is both P and C, as in every
 /// experiment of the paper) customer index == product id and a customer's
@@ -262,8 +256,8 @@ class WhyNotEngine {
 
   /// Persists the full engine state to directory `dir` (created if
   /// missing): datasets, tombstones, and universe as a CRC'd binary blob;
-  /// the dynamic R*-trees as page files (one node per CRC'd page); and,
-  /// when the packed read path is active, the frozen slab in its
+  /// the dynamic R*-trees as page files (one node per CRC'd page); and
+  /// the frozen packed slabs the read path serves from, in their
   /// mmap-able on-disk form. An engine reopened from the bundle answers
   /// every query bit-identically to this one. The approximated-DSL store
   /// is not part of the bundle — persist it with SaveApproxDsls alongside
@@ -276,9 +270,9 @@ class WhyNotEngine {
   /// the original engine was built with to reproduce its answers
   /// bit-for-bit. The index structure itself comes from the bundle, not
   /// from a re-bulk-load — node layout, fan-out, and traversal order are
-  /// the saved ones. If the bundle has no packed slab but
-  /// options.use_packed_read_path is set, the slab is re-frozen from the
-  /// loaded dynamic tree.
+  /// the saved ones. A bundle without a packed slab (bundles written by
+  /// older builds can lack one) gets its slab re-frozen from the loaded
+  /// dynamic tree.
   [[nodiscard]] static Result<std::unique_ptr<WhyNotEngine>> Open(
       const std::string& dir, WhyNotEngineOptions options = {});
 

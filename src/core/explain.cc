@@ -3,12 +3,14 @@
 #include "common/logging.h"
 #include "geometry/dominance.h"
 #include "geometry/transform.h"
+#include "index/packed_rtree.h"
 #include "reverse_skyline/window_query.h"
 #include "skyline/bnl.h"
 
 namespace wnrs {
 
-WhyNotExplanation ExplainWhyNot(const RStarTree& tree,
+template <typename Tree>
+WhyNotExplanation ExplainWhyNot(const Tree& tree,
                                 const std::vector<Point>& products,
                                 const Point& c_t, const Point& q,
                                 std::optional<RStarTree::Id> exclude_id) {
@@ -33,5 +35,14 @@ WhyNotExplanation ExplainWhyNot(const RStarTree& tree,
   }
   return out;
 }
+
+template WhyNotExplanation ExplainWhyNot(const RStarTree&,
+                                         const std::vector<Point>&,
+                                         const Point&, const Point&,
+                                         std::optional<RStarTree::Id>);
+template WhyNotExplanation ExplainWhyNot(const PackedRTree&,
+                                         const std::vector<Point>&,
+                                         const Point&, const Point&,
+                                         std::optional<RStarTree::Id>);
 
 }  // namespace wnrs

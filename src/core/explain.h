@@ -23,8 +23,13 @@ struct WhyNotExplanation {
 /// Explains why `c_t` is not in RSL(q) over the indexed products.
 /// `exclude_id` skips the customer's own tuple in the shared-relation
 /// setting. `products` maps tree ids to points (id = index).
+///
+/// `Tree` is PackedRTree (the engine's read path) or RStarTree (the
+/// test and bench oracle); both are explicitly instantiated in
+/// explain.cc and return bit-identical answers.
+template <typename Tree>
 WhyNotExplanation ExplainWhyNot(
-    const RStarTree& tree, const std::vector<Point>& products,
+    const Tree& tree, const std::vector<Point>& products,
     const Point& c_t, const Point& q,
     std::optional<RStarTree::Id> exclude_id = std::nullopt);
 

@@ -6,6 +6,7 @@
 #include "common/metrics.h"
 #include "geometry/dominance.h"
 #include "geometry/transform.h"
+#include "index/packed_rtree.h"
 #include "reverse_skyline/window_query.h"
 #include "skyline/bnl.h"
 #include "skyline/staircase.h"
@@ -71,7 +72,8 @@ void FinishMqp(const Point& c_t, const Point& q,
 
 }  // namespace
 
-MqpResult ModifyQueryPoint(const RStarTree& tree,
+template <typename Tree>
+MqpResult ModifyQueryPoint(const Tree& tree,
                            const std::vector<Point>& products,
                            const Point& c_t, const Point& q,
                            const CostModel& cost_model, size_t sort_dim,
@@ -103,7 +105,8 @@ MqpResult ModifyQueryPoint(const RStarTree& tree,
   return out;
 }
 
-MqpResult ModifyQueryPointFast(const RStarTree& tree,
+template <typename Tree>
+MqpResult ModifyQueryPointFast(const Tree& tree,
                                const std::vector<Point>& products,
                                const Point& c_t, const Point& q,
                                const CostModel& cost_model, size_t sort_dim,
@@ -126,5 +129,18 @@ MqpResult ModifyQueryPointFast(const RStarTree& tree,
   FinishMqp(c_t, q, frontier_t, cost_model, sort_dim, &out);
   return out;
 }
+
+template MqpResult ModifyQueryPoint(
+    const RStarTree&, const std::vector<Point>&, const Point&, const Point&,
+    const CostModel&, size_t, std::optional<RStarTree::Id>);
+template MqpResult ModifyQueryPoint(
+    const PackedRTree&, const std::vector<Point>&, const Point&, const Point&,
+    const CostModel&, size_t, std::optional<RStarTree::Id>);
+template MqpResult ModifyQueryPointFast(
+    const RStarTree&, const std::vector<Point>&, const Point&, const Point&,
+    const CostModel&, size_t, std::optional<RStarTree::Id>);
+template MqpResult ModifyQueryPointFast(
+    const PackedRTree&, const std::vector<Point>&, const Point&, const Point&,
+    const CostModel&, size_t, std::optional<RStarTree::Id>);
 
 }  // namespace wnrs

@@ -32,8 +32,14 @@ struct MqpResult {
 /// c_t's distance space); staircase candidates in the transformed space
 /// with max-merge and q anchoring (Eqns. 5-6); candidates mapped back to
 /// the original space on q's side of c_t per dimension.
+///
+/// Both forms are templates over the product index, explicitly
+/// instantiated in mqp.cc for PackedRTree and RStarTree. The engine
+/// serves the Fast form below on PackedRTree; this reference form, which
+/// materializes Λ, is the oracle for it (tests and bench_ablation_whynot).
+template <typename Tree>
 MqpResult ModifyQueryPoint(
-    const RStarTree& tree, const std::vector<Point>& products,
+    const Tree& tree, const std::vector<Point>& products,
     const Point& c_t, const Point& q, const CostModel& cost_model,
     size_t sort_dim = 0,
     std::optional<RStarTree::Id> exclude_id = std::nullopt);
@@ -42,8 +48,9 @@ MqpResult ModifyQueryPoint(
 /// branch-and-bound window-skyline traversal (WindowSkyline with origin
 /// c_t) instead of materializing Λ. Candidates are identical; `culprits`
 /// then holds only the frontier ids.
+template <typename Tree>
 MqpResult ModifyQueryPointFast(
-    const RStarTree& tree, const std::vector<Point>& products,
+    const Tree& tree, const std::vector<Point>& products,
     const Point& c_t, const Point& q, const CostModel& cost_model,
     size_t sort_dim = 0,
     std::optional<RStarTree::Id> exclude_id = std::nullopt);

@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "geometry/dominance.h"
 #include "geometry/transform.h"
+#include "index/packed_rtree.h"
 #include "reverse_skyline/window_query.h"
 #include "skyline/bnl.h"
 #include "skyline/staircase.h"
@@ -96,7 +97,8 @@ void FinishMwp(const Point& c_t, const Point& q,
 
 }  // namespace
 
-MwpResult ModifyWhyNotPoint(const RStarTree& tree,
+template <typename Tree>
+MwpResult ModifyWhyNotPoint(const Tree& tree,
                             const std::vector<Point>& products,
                             const Point& c_t, const Point& q,
                             const CostModel& cost_model, size_t sort_dim,
@@ -129,7 +131,8 @@ MwpResult ModifyWhyNotPoint(const RStarTree& tree,
   return out;
 }
 
-MwpResult ModifyWhyNotPointFast(const RStarTree& tree,
+template <typename Tree>
+MwpResult ModifyWhyNotPointFast(const Tree& tree,
                                 const std::vector<Point>& products,
                                 const Point& c_t, const Point& q,
                                 const CostModel& cost_model, size_t sort_dim,
@@ -151,5 +154,18 @@ MwpResult ModifyWhyNotPointFast(const RStarTree& tree,
   FinishMwp(c_t, q, frontier, cost_model, sort_dim, &out);
   return out;
 }
+
+template MwpResult ModifyWhyNotPoint(
+    const RStarTree&, const std::vector<Point>&, const Point&, const Point&,
+    const CostModel&, size_t, std::optional<RStarTree::Id>);
+template MwpResult ModifyWhyNotPoint(
+    const PackedRTree&, const std::vector<Point>&, const Point&, const Point&,
+    const CostModel&, size_t, std::optional<RStarTree::Id>);
+template MwpResult ModifyWhyNotPointFast(
+    const RStarTree&, const std::vector<Point>&, const Point&, const Point&,
+    const CostModel&, size_t, std::optional<RStarTree::Id>);
+template MwpResult ModifyWhyNotPointFast(
+    const PackedRTree&, const std::vector<Point>&, const Point&, const Point&,
+    const CostModel&, size_t, std::optional<RStarTree::Id>);
 
 }  // namespace wnrs

@@ -31,8 +31,14 @@ struct MwpResult {
 /// is its orientation-independent generalization, applied after mirroring
 /// each dimension so that c_t <= q); staircase candidates with min-merge
 /// and c_t anchoring (Eqns. 2-3); costs via `cost_model`'s beta weights.
+///
+/// Both forms are templates over the product index, explicitly
+/// instantiated in mwp.cc for PackedRTree and RStarTree. The engine
+/// serves the Fast form below on PackedRTree; this reference form, which
+/// materializes Λ, is the oracle for it (tests and bench_ablation_whynot).
+template <typename Tree>
 MwpResult ModifyWhyNotPoint(
-    const RStarTree& tree, const std::vector<Point>& products,
+    const Tree& tree, const std::vector<Point>& products,
     const Point& c_t, const Point& q, const CostModel& cost_model,
     size_t sort_dim = 0,
     std::optional<RStarTree::Id> exclude_id = std::nullopt);
@@ -41,8 +47,9 @@ MwpResult ModifyWhyNotPoint(
 /// branch-and-bound window-skyline traversal (WindowSkyline) instead of
 /// materializing Λ — runtime scales with |F| rather than |Λ|. Candidates
 /// are identical; `culprits` then holds only the frontier ids.
+template <typename Tree>
 MwpResult ModifyWhyNotPointFast(
-    const RStarTree& tree, const std::vector<Point>& products,
+    const Tree& tree, const std::vector<Point>& products,
     const Point& c_t, const Point& q, const CostModel& cost_model,
     size_t sort_dim = 0,
     std::optional<RStarTree::Id> exclude_id = std::nullopt);

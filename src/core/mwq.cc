@@ -7,6 +7,7 @@
 #include "core/mwp.h"
 #include "geometry/dominance.h"
 #include "geometry/transform.h"
+#include "index/packed_rtree.h"
 #include "reverse_skyline/window_query.h"
 #include "skyline/bbs.h"
 #include "skyline/ddr.h"
@@ -36,12 +37,13 @@ void AppendCorners(const Rectangle& r, std::vector<Point>* out) {
 
 }  // namespace
 
+template <typename Tree>
 MwqResult ModifyQueryAndWhyNotPoint(
-    const RStarTree& products_tree, const std::vector<Point>& products,
+    const Tree& products_tree, const std::vector<Point>& products,
     const Point& c_t, const Point& q, const RectRegion& safe_region,
     const Rectangle& universe, const CostModel& cost_model, size_t sort_dim,
     std::optional<RStarTree::Id> exclude_id,
-    const KeepsMembersFn& keeps_members, bool fast_frontier) {
+    const KeepsMembersFn& keeps_members) {
   WNRS_CHECK(c_t.dims() == q.dims());
   MwqResult out;
   if (WindowEmpty(products_tree, c_t, q, exclude_id)) {
@@ -145,12 +147,8 @@ MwqResult ModifyQueryAndWhyNotPoint(
   std::vector<std::pair<size_t, double>> corner_best;  // corner -> best cost
   for (size_t idx : candidates_q) {
     const Point& e = corners[idx];
-    const MwpResult mwp =
-        fast_frontier
-            ? ModifyWhyNotPointFast(products_tree, products, c_t, e,
-                                    cost_model, sort_dim, exclude_id)
-            : ModifyWhyNotPoint(products_tree, products, c_t, e, cost_model,
-                                sort_dim, exclude_id);
+    const MwpResult mwp = ModifyWhyNotPointFast(
+        products_tree, products, c_t, e, cost_model, sort_dim, exclude_id);
     double corner_cost = std::numeric_limits<double>::infinity();
     for (const Candidate& cand : mwp.candidates) {
       corner_cost = std::min(corner_cost, cand.cost);
@@ -184,5 +182,14 @@ MwqResult ModifyQueryAndWhyNotPoint(
   out.best_cost = best;
   return out;
 }
+
+template MwqResult ModifyQueryAndWhyNotPoint(
+    const RStarTree&, const std::vector<Point>&, const Point&, const Point&,
+    const RectRegion&, const Rectangle&, const CostModel&, size_t,
+    std::optional<RStarTree::Id>, const KeepsMembersFn&);
+template MwqResult ModifyQueryAndWhyNotPoint(
+    const PackedRTree&, const std::vector<Point>&, const Point&, const Point&,
+    const RectRegion&, const Rectangle&, const CostModel&, size_t,
+    std::optional<RStarTree::Id>, const KeepsMembersFn&);
 
 }  // namespace wnrs

@@ -46,14 +46,19 @@ using KeepsMembersFn = std::function<bool(const Point& q_star)>;
 /// with real window probes — closed-rectangle boundaries can otherwise
 /// tie-lose a member at exactly the region border; candidates failing it
 /// are discarded (q itself always passes, so C2 never comes up empty).
+/// Each corner's why-not movement comes from ModifyWhyNotPointFast.
+///
+/// `Tree` is PackedRTree (the engine's read path) or RStarTree (the test
+/// and bench oracle); both are explicitly instantiated in mwq.cc and
+/// return bit-identical answers.
+template <typename Tree>
 MwqResult ModifyQueryAndWhyNotPoint(
-    const RStarTree& products_tree, const std::vector<Point>& products,
+    const Tree& products_tree, const std::vector<Point>& products,
     const Point& c_t, const Point& q, const RectRegion& safe_region,
     const Rectangle& universe, const CostModel& cost_model,
     size_t sort_dim = 0,
     std::optional<RStarTree::Id> exclude_id = std::nullopt,
-    const KeepsMembersFn& keeps_members = nullptr,
-    bool fast_frontier = true);
+    const KeepsMembersFn& keeps_members = nullptr);
 
 }  // namespace wnrs
 

@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "geometry/transform.h"
+#include "index/packed_rtree.h"
 #include "skyline/bbs.h"
 #include "skyline/ddr.h"
 
@@ -57,7 +58,8 @@ SafeRegionResult IntersectRegions(const std::vector<size_t>& rsl,
 
 }  // namespace
 
-SafeRegionResult ComputeSafeRegion(const RStarTree& products_tree,
+template <typename Tree>
+SafeRegionResult ComputeSafeRegion(const Tree& products_tree,
                                    const std::vector<Point>& products,
                                    const std::vector<Point>& customers,
                                    const std::vector<size_t>& rsl,
@@ -83,6 +85,15 @@ SafeRegionResult ComputeSafeRegion(const RStarTree& products_tree,
                                MaxExtents(c, universe), options.sort_dim);
   });
 }
+
+template SafeRegionResult ComputeSafeRegion(
+    const RStarTree&, const std::vector<Point>&, const std::vector<Point>&,
+    const std::vector<size_t>&, const Point&, const Rectangle&, bool,
+    const SafeRegionOptions&);
+template SafeRegionResult ComputeSafeRegion(
+    const PackedRTree&, const std::vector<Point>&, const std::vector<Point>&,
+    const std::vector<size_t>&, const Point&, const Rectangle&, bool,
+    const SafeRegionOptions&);
 
 SafeRegionResult ComputeApproxSafeRegion(
     const std::vector<Point>& customers,

@@ -39,7 +39,12 @@ struct SafeRegionResult {
 /// `products` maps tree ids to points (id = index); `rsl` holds indices
 /// into `customers`; `universe` bounds the rectangle representation (use
 /// the dataset bounds, possibly extended to contain q).
-SafeRegionResult ComputeSafeRegion(const RStarTree& products_tree,
+///
+/// `Tree` is PackedRTree (the engine's read path) or RStarTree (the test
+/// and bench oracle); both are explicitly instantiated in safe_region.cc
+/// and return bit-identical regions.
+template <typename Tree>
+SafeRegionResult ComputeSafeRegion(const Tree& products_tree,
                                    const std::vector<Point>& products,
                                    const std::vector<Point>& customers,
                                    const std::vector<size_t>& rsl,

@@ -14,8 +14,8 @@ namespace wnrs {
 
 /// Window-emptiness probe with the relevant customer's own-tuple
 /// exclusion already bound by the caller: returns true iff W(c, q)
-/// holds no (other) product. The engine core binds it to its product
-/// index (packed or dynamic).
+/// holds no (other) product. The engine core binds it to its packed
+/// product index; tests bind it to the dynamic tree as an oracle.
 using StrictWindowEmptyFn =
     std::function<bool(const Point& c, const Point& q)>;
 

@@ -22,8 +22,8 @@ namespace wnrs {
 /// just a corrupt structure. They are driven by the seeded-corruption
 /// tests, the fuzz tests, and WhyNotEngineOptions::paranoid_checks.
 ///
-/// All probes run against the dynamic tree. When the engine serves
-/// queries from the packed read path this is deliberate: validating with
+/// All probes run against the dynamic tree. The engine serves every
+/// query from the packed tree, so this is deliberate: validating with
 /// the *other* implementation of the same traversal makes the check
 /// independent of the code path that produced the answer.
 struct AnswerValidationInput {

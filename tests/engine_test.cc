@@ -273,53 +273,6 @@ TEST(EngineTest, AddProductOutsideUniverseExtendsIt) {
   EXPECT_TRUE(engine.universe().Contains(Point({100.0, 300.0})));
 }
 
-TEST(EngineTest, ApproxPathForwardsFastFrontierOption) {
-  // Regression: ModifyBothApprox used to drop options_.fast_frontier, so
-  // fast_frontier = false silently still took the fast path. The two
-  // paths return identical candidates; the observable difference is the
-  // I/O work (the reference path materializes the culprit set Λ, the
-  // fast path extracts only the window-skyline frontier).
-  const Dataset data = GenerateCarDb(2000, 91);
-  WhyNotEngineOptions slow_options;
-  slow_options.fast_frontier = false;
-  WhyNotEngine fast(data);  // fast_frontier = true by default.
-  WhyNotEngine slow(data, slow_options);
-  fast.PrecomputeApproxDsls(6);
-  slow.PrecomputeApproxDsls(6);
-
-  // Find a why-not case answered through C2 (corner MWP calls) — C1
-  // never invokes the frontier machinery.
-  const Point q = data.points[11];
-  // wnrs-lint: allow-discard(warms both engines' caches so the deltas
-  // below isolate the answer itself)
-  (void)fast.ApproxSafeRegion(q);
-  // wnrs-lint: allow-discard(cache warmup, as above)
-  (void)slow.ApproxSafeRegion(q);
-  // wnrs-lint: allow-discard(cache warmup, as above)
-  (void)fast.ReverseSkyline(q);
-  // wnrs-lint: allow-discard(cache warmup, as above)
-  (void)slow.ReverseSkyline(q);
-  bool exercised = false;
-  for (size_t c = 0; c < data.points.size() && !exercised; ++c) {
-    if (fast.IsReverseSkylineMember(c, q)) continue;
-    const uint64_t fast_before = fast.product_tree().stats().node_reads;
-    const MwqResult fr = fast.ModifyBothApprox(c, q);
-    const uint64_t fast_reads =
-        fast.product_tree().stats().node_reads - fast_before;
-    if (fr.overlap || fr.already_member) continue;  // C1: no MWP calls.
-    const uint64_t slow_before = slow.product_tree().stats().node_reads;
-    const MwqResult sr = slow.ModifyBothApprox(c, q);
-    const uint64_t slow_reads =
-        slow.product_tree().stats().node_reads - slow_before;
-    EXPECT_DOUBLE_EQ(fr.best_cost, sr.best_cost) << "customer " << c;
-    // With the option forwarded, the reference path does strictly more
-    // node reads than the pruned frontier extraction.
-    EXPECT_GT(slow_reads, fast_reads) << "customer " << c;
-    exercised = true;
-  }
-  EXPECT_TRUE(exercised) << "no C2 why-not case found; weaken the query";
-}
-
 TEST(EngineTest, LoadApproxDslsRejectsKBelowTwo) {
   WhyNotEngine engine(GenerateCarDb(3, 101));
   const std::string path = ::testing::TempDir() + "/approx_store_k0.txt";

@@ -167,20 +167,27 @@ TEST_F(PersistenceTest, MutatedEngineRoundTripsTombstonesAndUniverse) {
 
 TEST_F(PersistenceTest, OpenWithoutPackedPathRefreezesOnDemand) {
   const Dataset ds = GenerateCarDb(1500, 305);
-  WhyNotEngineOptions no_packed;
-  no_packed.use_packed_read_path = false;
-  const WhyNotEngine original(ds, no_packed);
+  const WhyNotEngine original(ds, WhyNotEngineOptions{});
   const std::string dir = Dir("nopacked");
   ASSERT_TRUE(original.Save(dir).ok());
-  // The bundle has no slab; opening with the packed path on re-freezes
-  // from the loaded dynamic tree.
-  EXPECT_FALSE(
-      storage::FileExists(dir + "/" + storage::kBundlePackedFile));
-  WhyNotEngineOptions packed;
-  packed.use_packed_read_path = true;
-  Result<std::unique_ptr<WhyNotEngine>> reopened =
-      WhyNotEngine::Open(dir, packed);
+  // Strip the slab, as in a bundle written by a build that did not save
+  // one: clear the flag in the data file and delete the slab file.
+  const std::string data_path = dir + "/" + storage::kBundleDataFile;
+  Result<storage::EngineBundleData> data = storage::LoadBundleData(data_path);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ASSERT_TRUE(data->has_packed);
+  data->has_packed = false;
+  ASSERT_TRUE(storage::SaveBundleData(*data, data_path).ok());
+  const std::string slab_path = dir + "/" + storage::kBundlePackedFile;
+  ASSERT_EQ(std::remove(slab_path.c_str()), 0);
+  ASSERT_FALSE(storage::FileExists(slab_path));
+
+  // Open re-freezes the slab from the loaded dynamic tree.
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  const QueryStats before = registry.CaptureQueryStats();
+  Result<std::unique_ptr<WhyNotEngine>> reopened = WhyNotEngine::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((registry.CaptureQueryStats() - before).packed_freezes, 1u);
   ExpectEnginesAnswerIdentically(original, **reopened, CarDbQueries(),
                                  {42, 999});
 }
